@@ -11,7 +11,7 @@
 """
 
 from conftest import emit
-from repro.core.timestamps import IntervalLog, WriteNotice
+from repro.core.timestamps import IntervalLog, notice_runs
 from repro.harness.experiment import RunConfig, run_experiment
 from repro.harness.tables import fmt_table
 
@@ -60,8 +60,8 @@ def test_ablation_first_touch_placement(benchmark, scale):
 
 def test_ablation_notice_compression(benchmark):
     """Contiguous notices compress to a few runs; scattered ones don't."""
-    contiguous = [WriteNotice(b, 1, 0) for b in range(100)]
-    scattered = [WriteNotice(b * 37 % 1009, 1, 0) for b in range(100)]
+    contiguous = notice_runs([(b, 1) for b in range(100)], 0)
+    scattered = notice_runs(sorted((b * 37 % 1009, 1) for b in range(100)), 0)
     c_runs = IntervalLog.compressed_count(contiguous)
     s_runs = IntervalLog.compressed_count(scattered)
     emit(

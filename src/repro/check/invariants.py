@@ -36,9 +36,12 @@ after ``release_prepare`` for both lock releases and barrier arrivals):
 * SW-LRC -- write-notice coverage: after applying a grant, every
   noticed block is invalidated or locally versioned at least as high
   as the notice, and the hint table points at a writer at least as
-  fresh (one-hop read service correctness).
+  fresh (one-hop read service correctness); no noticed block is
+  owned without a tag.
 * HLRC -- every noticed block is invalidated unless this node is the
-  writer or the block's home.
+  writer or the block's home, and holds no twin once untagged.  (Run
+  application visits only tagged blocks; these two checks pin the
+  invariant that makes that enough.)
 * Tardis -- pts advance on acquire: the node's program timestamp is at
   least the granter's shipped ``pts``, and no cached lease older than
   the new ``pts`` survives the expiry scan.
@@ -353,27 +356,29 @@ class InvariantChecker(Hooks):
         both protocols' invalidation-skipping arguments need the
         advertised version per (author, block) to strictly increase."""
         log = self.p.ilog._log[node_id]
+        last_version = self._last_version
         for k in range(self._scanned[node_id], len(log)):
-            for wn in log[k]:
-                if wn.owner != node_id:
+            for first, count, version, author in log[k]:
+                if author != node_id:
                     self._report(
                         "notice-author",
                         f"interval {k} carries a notice authored by "
-                        f"node {wn.owner}",
+                        f"node {author}",
                         node=node_id,
-                        block=wn.block,
+                        block=first,
                     )
-                key = (node_id, wn.block)
-                last = self._last_version.get(key)
-                if last is not None and wn.version <= last:
-                    self._report(
-                        "notice-version-monotonic",
-                        f"interval {k} advertises version {wn.version} "
-                        f"after version {last}",
-                        node=node_id,
-                        block=wn.block,
-                    )
-                self._last_version[key] = wn.version
+                for block in range(first, first + count):
+                    key = (node_id, block)
+                    last = last_version.get(key)
+                    if last is not None and version <= last:
+                        self._report(
+                            "notice-version-monotonic",
+                            f"interval {k} advertises version {version} "
+                            f"after version {last}",
+                            node=node_id,
+                            block=block,
+                        )
+                    last_version[key] = version
         self._scanned[node_id] = len(log)
 
     # ------------------------------------------------------------------
@@ -386,44 +391,66 @@ class InvariantChecker(Hooks):
     def _sync_swlrc(self, node_id: int, payload) -> None:
         p = self.p
         access = self.m.nodes[node_id].access
-        for wn in payload.get("notices") or ():
-            if wn.owner == node_id:
+        versions = p.version[node_id]
+        hints = p.hint[node_id]
+        owned = p.owned[node_id]
+        for first, count, version, writer in payload.get("notices") or ():
+            if writer == node_id:
                 continue
-            if access.tag(wn.block) != INV:
-                version = p.version[node_id].get(wn.block)
-                if version is None or version < wn.version:
+            for block in range(first, first + count):
+                if access.tag(block) != INV:
+                    mine = versions.get(block)
+                    if mine is None or mine < version:
+                        self._report(
+                            "notice-coverage",
+                            f"copy kept with version {mine} despite a "
+                            f"notice for version {version}",
+                            node=node_id,
+                            block=block,
+                        )
+                elif block in owned:
                     self._report(
-                        "notice-coverage",
-                        f"copy kept with version {version} despite a "
-                        f"notice for version {wn.version}",
+                        "owned-untagged",
+                        "node still owns a block it holds no copy of",
                         node=node_id,
-                        block=wn.block,
+                        block=block,
                     )
-            hint = p.hint[node_id].get(wn.block)
-            if hint is None or hint[0] < wn.version:
-                self._report(
-                    "hint-freshness",
-                    f"hint {hint} older than applied notice "
-                    f"(version {wn.version} by node {wn.owner})",
-                    node=node_id,
-                    block=wn.block,
-                )
+                hint = hints.get(block)
+                if hint is None or hint[0] < version:
+                    self._report(
+                        "hint-freshness",
+                        f"hint {hint} older than applied notice "
+                        f"(version {version} by node {writer})",
+                        node=node_id,
+                        block=block,
+                    )
 
     def _sync_hlrc(self, node_id: int, payload) -> None:
         p = self.p
         access = self.m.nodes[node_id].access
-        for wn in payload.get("notices") or ():
-            if wn.owner == node_id or p._is_home(node_id, wn.block):
+        twins = p.twins[node_id]
+        for first, count, _, writer in payload.get("notices") or ():
+            if writer == node_id:
                 continue
-            tag = access.tag(wn.block)
-            if tag != INV:
-                self._report(
-                    "notice-invalidation",
-                    f"copy kept {tag_name(tag)} despite a notice by "
-                    f"node {wn.owner}",
-                    node=node_id,
-                    block=wn.block,
-                )
+            for block in range(first, first + count):
+                if p._is_home(node_id, block):
+                    continue
+                tag = access.tag(block)
+                if tag != INV:
+                    self._report(
+                        "notice-invalidation",
+                        f"copy kept {tag_name(tag)} despite a notice by "
+                        f"node {writer}",
+                        node=node_id,
+                        block=block,
+                    )
+                elif block in twins:
+                    self._report(
+                        "twin-untagged",
+                        "twin survives on a block with no copy",
+                        node=node_id,
+                        block=block,
+                    )
 
     def _sync_tardis(self, node_id: int, payload) -> None:
         p = self.p

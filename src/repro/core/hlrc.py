@@ -28,7 +28,7 @@ from typing import Dict, Generator, List
 from repro.core.diff import apply_diff, create_diff
 from repro.core.lrc_base import LRCBase
 from repro.core.protocol import register
-from repro.core.timestamps import WriteNotice
+from repro.core.timestamps import NoticeRun, notice_runs
 from repro.memory.access_control import INV, RO, RW
 from repro.net.message import HEADER_BYTES, Message
 from repro.sim.process import CountdownLatch, Future
@@ -129,10 +129,11 @@ class HLRCProtocol(LRCBase):
     # ==================================================================
     def _release_flush(self, node) -> Generator:
         p = self.params
-        notices: List[WriteNotice] = []
         dirty = self.dirty[node.id]
         if not dirty:
-            return notices
+            return []
+        # (block, epoch) of every block the interval advertises
+        noticed = []
         pending_sends = []
         for block in sorted(dirty):
             epoch = self._epoch[node.id].get(block, 0) + 1
@@ -141,14 +142,14 @@ class HLRCProtocol(LRCBase):
                 # Master copy already current; just advertise.  Dropping
                 # back to RO makes the next interval's writes fault again
                 # so they too are advertised.
-                notices.append(WriteNotice(block, epoch, node.id))
+                noticed.append((block, epoch))
                 node.access.set_tag(block, RO)
                 continue
             twin = self.twins[node.id].pop(block, None)
             if twin is None:
                 # Already flushed early by a notice during this interval;
                 # the notice list must still cover it.
-                notices.append(WriteNotice(block, epoch, node.id))
+                noticed.append((block, epoch))
                 continue
             diff = create_diff(block, node.store.block(block), twin)
             yield p.diff_create_fixed_us + p.diff_create_per_byte_us * p.granularity
@@ -159,7 +160,7 @@ class HLRCProtocol(LRCBase):
                 continue
             self.stats.diff_bytes += diff.payload_bytes
             pending_sends.append((block, diff))
-            notices.append(WriteNotice(block, epoch, node.id))
+            noticed.append((block, epoch))
             node.access.set_tag(block, RO)
         if pending_sends:
             latch = CountdownLatch(self.engine, len(pending_sends))
@@ -176,50 +177,38 @@ class HLRCProtocol(LRCBase):
                 )
             yield from node.wait(latch, "fault_wait_us")
         dirty.clear()
-        return notices
+        return notice_runs(noticed, node.id)
 
     # ==================================================================
     # notice application (app context, from apply_sync)
     # ==================================================================
-    def _apply_notice(self, node, wn: WriteNotice) -> Generator:
-        if wn.owner == node.id:
-            return
-        if self._is_home(node.id, wn.block):
-            # The home's copy absorbed the writer's diff eagerly; it is
-            # current by construction.
-            return
-        if wn.block in self.twins[node.id]:
-            # Concurrent writer under a different lock: preserve our own
-            # modifications by flushing them before invalidating.
-            yield from self._flush_one(node, wn.block)
-        if node.access.invalidate(wn.block):
-            self.stats.invalidations += 1
-
-    def _apply_notices(self, node, notices) -> Generator:
-        # Flat-loop batch form of _apply_notice (see LRCBase).  A block
-        # repeated across the payload's intervals is invalidated (and
-        # its twin flushed) by its first foreign notice; later repeats
-        # find no twin and an already-invalid tag, so they are skipped
-        # outright.
+    def _apply_notices(self, node, runs: List[NoticeRun]) -> Generator:
+        # Per block, in payload order: a foreign notice invalidates the
+        # copy unless this node is the block's home (whose copy absorbed
+        # the writer's diff eagerly and is current by construction).
+        # Untagged blocks have nothing to invalidate and hold no twin (a
+        # twin always sits under a write tag), so only the run's tagged
+        # blocks are visited; a block repeated in a later run is by then
+        # untagged and is skipped.
         nid = node.id
         twins = self.twins[nid]
         is_home = self._is_home
+        tagged_in = node.access.tagged_in
         invalidate = node.access.invalidate
         stats = self.stats
-        seen = set()
-        for wn in notices:
-            if wn.owner == nid:
+        for first, count, _, writer in runs:
+            if writer == nid:
                 continue
-            block = wn.block
-            if block in seen:
-                continue
-            seen.add(block)
-            if is_home(nid, block):
-                continue
-            if block in twins:
-                yield from self._flush_one(node, block)
-            if invalidate(block):
-                stats.invalidations += 1
+            for block in tagged_in(first, first + count):
+                if is_home(nid, block):
+                    continue
+                if block in twins:
+                    # Concurrent writer under a different lock: preserve
+                    # our own modifications by flushing them before
+                    # invalidating.
+                    yield from self._flush_one(node, block)
+                if invalidate(block):
+                    stats.invalidations += 1
 
     def _flush_one(self, node, block: int) -> Generator:
         p = self.params

@@ -8,8 +8,8 @@ acquire time.  The subclasses differ in
 
 * what happens at a release (:meth:`_release_flush`): HLRC eagerly
   diffs and flushes to homes, SW-LRC only bumps versions;
-* how a write notice is applied (:meth:`_apply_notice`): HLRC
-  invalidates unless home/writer, SW-LRC compares versions;
+* how a batch of notice runs is applied (:meth:`_apply_notices`):
+  HLRC invalidates unless home/writer, SW-LRC compares versions;
 * how misses are serviced.
 """
 
@@ -18,7 +18,13 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Set, Tuple
 
 from repro.core.protocol import CoherenceProtocol
-from repro.core.timestamps import Clock, IntervalLog, WriteNotice, make_clock
+from repro.core.timestamps import (
+    Clock,
+    IntervalLog,
+    NoticeRun,
+    make_clock,
+    notice_blocks,
+)
 
 
 class LRCBase(CoherenceProtocol):
@@ -42,22 +48,17 @@ class LRCBase(CoherenceProtocol):
     # subclass hooks
     # ------------------------------------------------------------------
     def _release_flush(self, node) -> Generator:
-        """Flush pending modifications; returns the interval's notices."""
+        """Flush pending modifications; returns the interval's notice
+        runs, in ascending block order."""
         raise NotImplementedError
 
-    def _apply_notice(self, node, wn: WriteNotice) -> Generator:
-        """Apply one write notice at acquire time (app context)."""
+    def _apply_notices(self, node, runs: List[NoticeRun]) -> Generator:
+        """Apply a batch of notice runs at acquire time (app context).
+
+        The effect must equal applying each run's blocks one by one, in
+        payload order; runs only let the work skip blocks that cannot be
+        affected."""
         raise NotImplementedError
-
-    def _apply_notices(self, node, notices: List[WriteNotice]) -> Generator:
-        """Apply a notice batch; semantically ``_apply_notice`` in a loop.
-
-        Subclasses override this with a single flat loop because
-        creating one generator per notice (barrier releases carry
-        thousands) shows up in profiles.  An override must stay
-        behavior-identical to iterating :meth:`_apply_notice`."""
-        for wn in notices:
-            yield from self._apply_notice(node, wn)
 
     # ------------------------------------------------------------------
     # synchronization hooks (called by the lock/barrier services)
@@ -67,10 +68,10 @@ class LRCBase(CoherenceProtocol):
 
     def release_prepare(self, node) -> Generator:
         """Close the current interval (and flush, for HLRC)."""
-        notices = yield from self._release_flush(node)
-        self.ilog.close_interval(node.id, notices)
+        runs = yield from self._release_flush(node)
+        self.ilog.close_interval(node.id, runs)
         self.vt[node.id].tick(node.id)
-        self.stats.write_notices_sent += len(notices)
+        self.stats.write_notices_sent += notice_blocks(runs)
         yield self.params.interval_us
 
     def grant_payload(self, granter_id: int, acq_vt) -> Tuple[Any, int]:
@@ -102,9 +103,10 @@ class LRCBase(CoherenceProtocol):
         if not payload:
             return
         self.vt[node.id].merge(payload["vt"])
-        notices = payload["notices"]
-        if notices:
-            self.stats.write_notices_applied += len(notices)
+        runs = payload["notices"]
+        if runs:
+            blocks = notice_blocks(runs)
+            self.stats.write_notices_applied += blocks
             # Bookkeeping cost of walking the notice list.
-            yield self.params.write_notice_us * len(notices)
-            yield from self._apply_notices(node, notices)
+            yield self.params.write_notice_us * blocks
+            yield from self._apply_notices(node, runs)

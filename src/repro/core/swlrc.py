@@ -29,16 +29,18 @@ strictly newer versions, so chains terminate at the current owner).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.lrc_base import LRCBase
 from repro.core.protocol import register
-from repro.core.timestamps import WriteNotice
+from repro.core.timestamps import NoticeRun, notice_runs
 from repro.memory.access_control import INV, RO, RW
 from repro.net.message import HEADER_BYTES, Message
 from repro.sim.process import Future
+from repro.simcore import SHORT_RUN
 
 
 @dataclass
@@ -48,6 +50,54 @@ class OwnerEntry:
     owner: Optional[int] = None
     busy: bool = False
     pending: Deque[Message] = field(default_factory=deque)
+
+
+class HintTable:
+    """One node's freshest-writer hints: block -> (version, writer).
+
+    Dense per-block arrays indexed by block id (version 0 = no hint;
+    notice versions start at 1), so a notice run updates its whole
+    block range with slice operations.  A hint only ever moves to a
+    strictly newer version: among equal versions the first one seen
+    wins.
+    """
+
+    __slots__ = ("_ver", "_writer")
+
+    def __init__(self) -> None:
+        self._ver = array("i")
+        self._writer = array("i")
+
+    def get(self, block: int) -> Optional[Tuple[int, int]]:
+        ver = self._ver
+        if block < len(ver):
+            v = ver[block]
+            if v:
+                return v, self._writer[block]
+        return None
+
+    def __len__(self) -> int:
+        """Blocks holding a hint."""
+        return len(self._ver) - self._ver.count(0)
+
+    def update_run(self, first: int, count: int, version: int, writer: int) -> None:
+        """Apply the hint rule to every block of a notice run."""
+        end = first + count
+        ver = self._ver
+        wr = self._writer
+        if end > len(ver):
+            zeros = array("i", bytes(4 * (max(end, 2 * len(ver)) - len(ver))))
+            ver.extend(zeros)
+            wr.extend(zeros)
+        if count > SHORT_RUN and max(ver[first:end]) < version:
+            # Every block's hint is older: one slice assignment.
+            ver[first:end] = array("i", (version,)) * count
+            wr[first:end] = array("i", (writer,)) * count
+            return
+        for b in range(first, end):
+            if version > ver[b]:
+                ver[b] = version
+                wr[b] = writer
 
 
 @register
@@ -60,7 +110,7 @@ class SWLRCProtocol(LRCBase):
         #: version of each node's local copy
         self.version: List[Dict[int, int]] = [dict() for _ in range(n)]
         #: freshest writer hint per node: block -> (version, writer)
-        self.hint: List[Dict[int, Tuple[int, int]]] = [dict() for _ in range(n)]
+        self.hint: List[HintTable] = [HintTable() for _ in range(n)]
         #: home-side ownership directory
         self.owners: Dict[int, OwnerEntry] = {}
         #: node-local knowledge "I am the current owner" -- lets a
@@ -362,72 +412,48 @@ class SWLRCProtocol(LRCBase):
     def _release_flush(self, node) -> Generator:
         """No data moves at a release under SW-LRC; versions bump and
         notices are recorded (the protocol's cheap-release advantage)."""
-        notices: List[WriteNotice] = []
-        for block in sorted(self.dirty[node.id]):
-            v = self.version[node.id].get(block, 0) + 1
-            self.version[node.id][block] = v
-            notices.append(WriteNotice(block, v, node.id))
-            if block in self.owned[node.id]:
+        nid = node.id
+        version = self.version[nid]
+        owned = self.owned[nid]
+        bumped = []
+        for block in sorted(self.dirty[nid]):
+            v = version.get(block, 0) + 1
+            version[block] = v
+            bumped.append((block, v))
+            if block in owned:
                 # Write-protect so the next interval's first write
                 # faults (locally) and is advertised again.
                 node.access.downgrade(block)
-        self.dirty[node.id].clear()
-        if notices:
+        self.dirty[nid].clear()
+        if bumped:
             yield self.params.handler_base_us
-        return notices
+        return notice_runs(bumped, nid)
 
-    def _apply_notice(self, node, wn: WriteNotice) -> Generator:
-        if wn.owner == node.id:
-            return
-        # Remember the freshest writer for one-hop read service.
-        cur = self.hint[node.id].get(wn.block)
-        if cur is None or wn.version > cur[0]:
-            self.hint[node.id][wn.block] = (wn.version, wn.owner)
-        my_version = self.version[node.id].get(wn.block)
-        if my_version is not None and my_version >= wn.version:
-            # Copy already covers this notice: skip the invalidation
-            # ("avoid unnecessary invalidations", Section 2.2).
-            return
-        self.owned[node.id].discard(wn.block)
-        if node.access.invalidate(wn.block):
-            self.stats.invalidations += 1
-            self.version[node.id].pop(wn.block, None)
-        return
-        yield  # pragma: no cover - generator protocol
-
-    def _apply_notices(self, node, notices) -> Generator:
-        # Flat-loop batch form of _apply_notice (see LRCBase).  Barrier
-        # payloads repeat blocks across many intervals; per block only
-        # the highest-version notice has any effect (the hint keeps the
-        # max version, and one invalidation covers every lower version),
-        # so aggregate first and touch each block once.  The first
-        # notice reaching the max version wins, matching the sequential
-        # loop's strict-greater hint update.
+    def _apply_notices(self, node, runs: List[NoticeRun]) -> Generator:
+        # Per block, in payload order: the hint keeps the freshest
+        # writer, and a copy whose version does not cover the notice is
+        # invalidated ("avoid unnecessary invalidations", Section 2.2).
+        # Untagged blocks have nothing to invalidate (and are never
+        # owned: ownership always comes with a tag), so only the run's
+        # tagged blocks take the per-block version check.
         nid = node.id
-        best: dict = {}
-        for wn in notices:
-            if wn.owner == nid:
-                continue
-            block = wn.block
-            cur = best.get(block)
-            if cur is None or wn.version > cur.version:
-                best[block] = wn
         hint = self.hint[nid]
         version = self.version[nid]
         owned = self.owned[nid]
+        tagged_in = node.access.tagged_in
         invalidate = node.access.invalidate
         stats = self.stats
-        for block, wn in best.items():
-            wv = wn.version
-            cur = hint.get(block)
-            if cur is None or wv > cur[0]:
-                hint[block] = (wv, wn.owner)
-            my_version = version.get(block)
-            if my_version is not None and my_version >= wv:
+        for first, count, v, writer in runs:
+            if writer == nid:
                 continue
-            owned.discard(block)
-            if invalidate(block):
-                stats.invalidations += 1
-                version.pop(block, None)
+            hint.update_run(first, count, v, writer)
+            for block in tagged_in(first, first + count):
+                mine = version.get(block)
+                if mine is not None and mine >= v:
+                    continue
+                owned.discard(block)
+                if invalidate(block):
+                    stats.invalidations += 1
+                    version.pop(block, None)
         return
         yield  # pragma: no cover - generator protocol

@@ -3,11 +3,12 @@
 Lazy release consistency divides each node's execution into *intervals*
 delimited by release operations.  Each interval carries the set of
 *write notices* -- identifiers of blocks the node wrote during the
-interval.  A vector timestamp ``vt`` on node ``n`` counts, per node
-``i``, how many of ``i``'s intervals ``n`` has seen.  At an acquire the
-granter sends every interval the acquirer has not seen (the vector
-difference), and the acquirer invalidates its copies of the noticed
-blocks.
+interval -- stored as :class:`NoticeRun` records, one per run of
+consecutive blocks sharing a version.  A vector timestamp ``vt`` on
+node ``n`` counts, per node ``i``, how many of ``i``'s intervals ``n``
+has seen.  At an acquire the granter sends every interval the acquirer
+has not seen (the vector difference), and the acquirer invalidates its
+copies of the noticed blocks.
 
 The :class:`IntervalLog` is conceptually replicated through these
 messages; we store it centrally for the simulation and charge message
@@ -16,25 +17,52 @@ sizes for the notices actually shipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.simcore import vc_alloc, vc_dominates, vc_merge_into
 
 
-@dataclass(frozen=True, slots=True)
-class WriteNotice:
-    """One modified block, as advertised through synchronization.
+class NoticeRun(NamedTuple):
+    """Write notices for ``count`` consecutive blocks from ``first``.
 
-    ``version`` and ``owner`` are meaningful for SW-LRC (block version
-    at the writer's release, used to skip stale invalidations and to
-    find the copy for one-hop read service).  HLRC only needs ``block``
-    and ``owner``.
+    Every block of the run was modified by ``owner`` and advertised at
+    the same ``version`` (SW-LRC: the block version at the writer's
+    release, used to skip stale invalidations and to find the copy for
+    one-hop read service; HLRC: the writer's per-block interval count).
+    Versions start at 1.  A run is the only notice representation: it
+    is built once per release, stored in the :class:`IntervalLog`,
+    shipped unchanged in sync payloads and applied per run.  Modelled
+    sizes and statistics still count blocks (:func:`notice_blocks`).
     """
 
-    block: int
+    first: int
+    count: int
     version: int
     owner: int
+
+
+def notice_runs(
+    noticed: Iterable[Tuple[int, int]], owner: int
+) -> List[NoticeRun]:
+    """Group ascending ``(block, version)`` pairs into notice runs:
+    consecutive blocks with the same version share one run."""
+    runs: List[NoticeRun] = []
+    first = end = version = -1
+    for block, v in noticed:
+        if block == end and v == version:
+            end += 1
+            continue
+        if end > first:
+            runs.append(NoticeRun(first, end - first, version, owner))
+        first, end, version = block, block + 1, v
+    if end > first:
+        runs.append(NoticeRun(first, end - first, version, owner))
+    return runs
+
+
+def notice_blocks(runs: Iterable[NoticeRun]) -> int:
+    """Number of block notices a run batch stands for."""
+    return sum(r[1] for r in runs)
 
 
 #: anything a clock method accepts as "the other side": a component
@@ -239,20 +267,20 @@ def make_clock(n: int) -> Clock:
 
 
 class IntervalLog:
-    """Per-node sequences of closed intervals and their notices.
+    """Per-node sequences of closed intervals and their notice runs.
 
-    ``log[i][k]`` is the list of write notices of node ``i``'s
-    ``k``-th closed interval (0-based).  A node's vector component
+    ``log[i][k]`` is the list of notice runs of node ``i``'s ``k``-th
+    closed interval (0-based).  A node's vector component
     ``vt[i] == m`` means it has seen intervals ``0..m-1`` of node ``i``.
     """
 
     def __init__(self, n_nodes: int):
         self.n_nodes = n_nodes
-        self._log: List[List[List[WriteNotice]]] = [[] for _ in range(n_nodes)]
+        self._log: List[List[List[NoticeRun]]] = [[] for _ in range(n_nodes)]
 
-    def close_interval(self, node: int, notices: List[WriteNotice]) -> int:
+    def close_interval(self, node: int, runs: List[NoticeRun]) -> int:
         """Append a closed interval for ``node``; returns its index."""
-        self._log[node].append(notices)
+        self._log[node].append(runs)
         return len(self._log[node]) - 1
 
     def intervals_of(self, node: int) -> int:
@@ -260,10 +288,11 @@ class IntervalLog:
 
     def notices_between(
         self, seen: Sequence[int], upto: Sequence[int]
-    ) -> List[WriteNotice]:
-        """All notices in intervals the acquirer (``seen``) lacks,
-        bounded by what the granter has seen (``upto``)."""
-        out: List[WriteNotice] = []
+    ) -> List[NoticeRun]:
+        """The notice runs of every interval the acquirer (``seen``)
+        lacks, bounded by what the granter has seen (``upto``), in
+        (node, interval) order."""
+        out: List[NoticeRun] = []
         log = self._log
         extend = out.extend
         for i in range(self.n_nodes):
@@ -274,26 +303,21 @@ class IntervalLog:
         return out
 
     @staticmethod
-    def compressed_count(notices: List[WriteNotice]) -> int:
+    def compressed_count(runs: List[NoticeRun]) -> int:
         """Number of contiguous block runs in a notice batch.
 
         Write notices for consecutive blocks (a processor's contiguous
         partition) are run-length encoded on the wire, so a sweep that
         dirties 100 adjacent blocks costs one notice record, while
-        scattered tree-cell notices (Barnes) compress not at all."""
-        if not notices:
-            return 0
-        blocks = sorted({wn.block for wn in notices})
-        runs = 1
-        for a, b in zip(blocks, blocks[1:]):
-            if b != a + 1:
-                runs += 1
-        return runs
-
-    def notice_count_between(self, seen: Sequence[int], upto: Sequence[int]) -> int:
-        total = 0
-        for i in range(self.n_nodes):
-            lo, hi = seen[i], upto[i]
-            for k in range(lo, hi):
-                total += len(self._log[i][k])
-        return total
+        scattered tree-cell notices (Barnes) compress not at all.  The
+        batch's runs may overlap or abut (several intervals, several
+        versions); merging their sorted ranges counts the maximal runs
+        of the noticed block set."""
+        merged = 0
+        end = -1
+        for first, count, _, _ in sorted(runs):
+            if first > end:
+                merged += 1
+            if first + count > end:
+                end = first + count
+        return merged

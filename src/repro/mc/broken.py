@@ -27,7 +27,11 @@ class BrokenSWLRCProtocol(SWLRCProtocol):
     name = "swlrc-broken"
 
     def _release_flush(self, node):
-        notices = yield from super()._release_flush(node)
+        runs = yield from super()._release_flush(node)
+        if not runs:
+            return runs
         # The bug under test: the last dirty block's notice never
         # reaches the successor's acquire.
-        return notices[:-1]
+        last = runs[-1]
+        kept = [last._replace(count=last.count - 1)] if last.count > 1 else []
+        return runs[:-1] + kept

@@ -137,10 +137,8 @@ class _FootprintHooks(Hooks):
         fp = self._s.fp
         if fp is None:
             return
-        notices = getattr(payload, "notices", None)
-        if notices:
-            for wn in notices:
-                fp.add(("blk", wn.block))
+        for first, count, _, _ in (payload or {}).get("notices") or ():
+            fp.update(("blk", b) for b in range(first, first + count))
 
 
 class ControlledScheduler(SchedulerPolicy):

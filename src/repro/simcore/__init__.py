@@ -92,6 +92,7 @@ diff_runs = _impl.diff_runs
 
 from repro.simcore.dtypes import DType, dtype  # noqa: E402
 from repro.simcore.ring import SeqRing  # noqa: E402
+from repro.simcore.tags import SHORT_RUN  # noqa: E402
 
 __all__ = [
     "BACKEND",
@@ -116,4 +117,5 @@ __all__ = [
     "DType",
     "dtype",
     "SeqRing",
+    "SHORT_RUN",
 ]

@@ -14,10 +14,18 @@ backends (part of the bit-identity contract).
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Iterator, List, Tuple
 
 #: access tags, ordered by permission (mirrors repro.memory.access_control)
 _INV, _RO, _RW = 0, 1, 2
+
+#: the size rule for block ranges (notice runs): up to this many blocks
+#: take a plain scalar loop; only longer ones pay the fixed per-call
+#: cost of a C-level search or slice operation
+SHORT_RUN = 8
+#: maximal runs of tagged (non-zero) bytes
+_TAGGED_RUN = re.compile(rb"[^\x00]+")
 
 
 class TagArrayBase:
@@ -86,6 +94,20 @@ class TagArrayBase:
         """All (block, tag) pairs with non-INVALID tags, ascending."""
         t = self._tags
         return ((b, t[b]) for b in self._nonzero(t))
+
+    def tagged_in(self, lo: int, hi: int) -> List[int]:
+        """Blocks in ``[lo, hi)`` with non-INVALID tags, ascending."""
+        t = self._tags
+        if hi > len(t):
+            hi = len(t)
+        if hi - lo <= SHORT_RUN:
+            return [b for b in range(lo, hi) if t[b]]
+        if t.count(0, lo, hi) == hi - lo:
+            return []
+        out: List[int] = []
+        for m in _TAGGED_RUN.finditer(t, lo, hi):
+            out.extend(range(m.start(), m.end()))
+        return out
 
     def __len__(self) -> int:
         return len(self._readable)

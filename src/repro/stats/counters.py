@@ -405,11 +405,13 @@ def protocol_metadata(machine) -> MetadataStats:
 
     vt = getattr(p, "vt", None)
     if vt is not None:  # swlrc / hlrc: per-node vector clocks
+        from repro.core.timestamps import notice_blocks
+
         components["clocks"] = sum(c.bytes_used() for c in vt)
         dense += n * n * _TS_FIELD_BYTES
         ilog = p.ilog
         notices = sum(
-            len(interval) for log in ilog._log for interval in log
+            notice_blocks(interval) for log in ilog._log for interval in log
         )
         components["interval_log"] = notices * _NOTICE_BYTES
         dense += notices * _NOTICE_BYTES

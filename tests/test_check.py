@@ -284,6 +284,28 @@ class TestInvariantInjection:
         rules = {v.rule for v in checkers.invariants.violations}
         assert "twin-survives-release" in rules
 
+    def test_swlrc_owned_untagged_violation(self):
+        from repro.core.timestamps import NoticeRun
+
+        m, checkers = self._run_app_cell("swlrc")
+        block = 6
+        m.nodes[0].access.invalidate(block)
+        m.protocol.owned[0].add(block)
+        checkers.invariants._sync_swlrc(0, {"notices": [NoticeRun(block, 1, 1, 1)]})
+        rules = {v.rule for v in checkers.invariants.violations}
+        assert "owned-untagged" in rules
+
+    def test_hlrc_twin_untagged_violation(self):
+        from repro.core.timestamps import NoticeRun
+
+        m, checkers = self._run_app_cell("hlrc")
+        block = next(b for b in range(64) if not m.protocol._is_home(0, b))
+        m.nodes[0].access.invalidate(block)
+        m.protocol.twins[0][block] = np.zeros(256, dtype=np.uint8)
+        checkers.invariants._sync_hlrc(0, {"notices": [NoticeRun(block, 1, 1, 1)]})
+        rules = {v.rule for v in checkers.invariants.violations}
+        assert "twin-untagged" in rules
+
     def test_lrc_dirty_survives_release_violation(self):
         m, checkers = self._run_app_cell("hlrc")
         m.protocol.dirty[1].add(7)

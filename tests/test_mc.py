@@ -200,6 +200,31 @@ def test_unbroken_swlrc_passes_where_broken_fails():
     assert r.ok
 
 
+def test_lock_grant_footprint_includes_noticed_blocks():
+    """DPOR dependency footprints: the step that applies a lock grant
+    touches every block its notice runs cover."""
+    from repro.hooks import Hooks
+    from repro.mc.scheduler import ControlledScheduler
+    from repro.runtime.program import run_program
+
+    # mp's reader acquires the lock before touching either variable, so
+    # only the grant's notices can put the written blocks in that step.
+    inst = LITMUS["mp"].instantiate("swlrc", granularity=64)
+    sched = ControlledScheduler(inst.machine)
+    applied = []
+
+    class RecordNotices(Hooks):
+        def on_sync_applied(self, node_id, payload):
+            for first, count, _, _ in payload.get("notices") or ():
+                applied.append((len(sched.trace), range(first, first + count)))
+
+    inst.machine.add_hooks(RecordNotices())
+    run_program(inst.machine, inst.program, nprocs=inst.nprocs, **inst.kwargs)
+    assert applied, "the reader's grant must carry the writer's notices"
+    for step, blocks in applied:
+        assert {("blk", b) for b in blocks} <= sched.trace[step].resources
+
+
 # ---------------------------------------------------------------------------
 # replay machinery
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.timestamps import IntervalLog, VectorClock, WriteNotice
+from repro.core.timestamps import (
+    IntervalLog,
+    NoticeRun,
+    VectorClock,
+    notice_blocks,
+    notice_runs,
+)
 
 
 class TestVectorClock:
@@ -55,37 +61,31 @@ class TestVectorClock:
 class TestIntervalLog:
     def test_close_interval_appends(self):
         log = IntervalLog(2)
-        idx = log.close_interval(0, [WriteNotice(5, 1, 0)])
+        idx = log.close_interval(0, [NoticeRun(5, 1, 1, 0)])
         assert idx == 0
         assert log.intervals_of(0) == 1
         assert log.intervals_of(1) == 0
 
     def test_notices_between_empty_ranges(self):
         log = IntervalLog(2)
-        log.close_interval(0, [WriteNotice(1, 1, 0)])
+        log.close_interval(0, [NoticeRun(1, 1, 1, 0)])
         assert log.notices_between((1, 0), (1, 0)) == []
 
     def test_notices_between_returns_unseen(self):
         log = IntervalLog(2)
-        log.close_interval(0, [WriteNotice(1, 1, 0)])
-        log.close_interval(0, [WriteNotice(2, 1, 0)])
-        log.close_interval(1, [WriteNotice(3, 1, 1)])
+        log.close_interval(0, [NoticeRun(1, 1, 1, 0)])
+        log.close_interval(0, [NoticeRun(2, 1, 1, 0)])
+        log.close_interval(1, [NoticeRun(3, 1, 1, 1)])
         out = log.notices_between((0, 0), (2, 1))
-        blocks = sorted(n.block for n in out)
+        blocks = sorted(n.first for n in out)
         assert blocks == [1, 2, 3]
 
     def test_notices_between_partial(self):
         log = IntervalLog(1)
         for k in range(5):
-            log.close_interval(0, [WriteNotice(k, 1, 0)])
+            log.close_interval(0, [NoticeRun(k, 1, 1, 0)])
         out = log.notices_between((2,), (4,))
-        assert sorted(n.block for n in out) == [2, 3]
-
-    def test_notice_count_matches(self):
-        log = IntervalLog(2)
-        log.close_interval(0, [WriteNotice(1, 1, 0), WriteNotice(2, 1, 0)])
-        log.close_interval(1, [WriteNotice(3, 1, 1)])
-        assert log.notice_count_between((0, 0), (1, 1)) == 3
+        assert sorted(n.first for n in out) == [2, 3]
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -97,14 +97,14 @@ class TestIntervalLog:
         expected = {}
         for node in range(n):
             for k in range(counts[node]):
-                log.close_interval(node, [WriteNotice(tag, 1, node)])
+                log.close_interval(node, [NoticeRun(tag, 1, 1, node)])
                 expected[(node, k)] = tag
                 tag += 1
         seen = tuple(
             data.draw(st.integers(min_value=0, max_value=counts[i])) for i in range(n)
         )
         out = log.notices_between(seen, tuple(counts))
-        got = sorted(wn.block for wn in out)
+        got = sorted(wn.first for wn in out)
         want = sorted(
             expected[(node, k)]
             for node in range(n)
@@ -113,12 +113,23 @@ class TestIntervalLog:
         assert got == want
 
 
-class TestWriteNotice:
+class TestNoticeRun:
     def test_frozen(self):
-        wn = WriteNotice(1, 2, 3)
+        run = NoticeRun(1, 2, 3, 4)
         with pytest.raises(AttributeError):
-            wn.block = 9
+            run.first = 9
 
     def test_fields(self):
-        wn = WriteNotice(block=7, version=3, owner=1)
-        assert (wn.block, wn.version, wn.owner) == (7, 3, 1)
+        run = NoticeRun(first=7, count=2, version=3, owner=1)
+        assert (run.first, run.count, run.version, run.owner) == (7, 2, 3, 1)
+        assert notice_blocks([run, NoticeRun(0, 5, 1, 1)]) == 7
+
+    def test_runs_split_on_gaps_and_versions(self):
+        pairs = [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2), (7, 1)]
+        assert notice_runs(pairs, 3) == [
+            NoticeRun(1, 2, 1, 3),
+            NoticeRun(3, 2, 2, 3),
+            NoticeRun(6, 1, 2, 3),
+            NoticeRun(7, 1, 1, 3),
+        ]
+        assert notice_runs([], 0) == []
