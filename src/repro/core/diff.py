@@ -9,15 +9,15 @@ the programming model excludes (and our tests exercise anyway to pin
 last-applier-wins behavior).
 
 Run extraction is the hot path of the HLRC simulation and lives in
-:mod:`repro.simcore` -- a whole-buffer memcmp plus ``flatnonzero``-style
-splitting under the fast backend, an equivalent word-scan under the
-pure-python fallback.  Both produce identical run boundaries and bytes.
+:mod:`repro.simcore`: a whole-buffer memcmp, then an XOR scan for small
+blocks or ``np.flatnonzero`` for large ones.  Both sides of the size
+rule produce identical run boundaries and bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.simcore import diff_runs
 
@@ -30,9 +30,8 @@ class Diff:
     """The changed byte runs of one block."""
 
     block: int
-    #: list of (offset, data) runs, offsets ascending, non-adjacent;
-    #: data is a byte buffer of the active simcore backend
-    runs: List[Tuple[int, Sequence[int]]]
+    #: list of (offset, data) runs, offsets ascending, non-adjacent
+    runs: List[Tuple[int, bytes]]
 
     @property
     def payload_bytes(self) -> int:
@@ -67,13 +66,6 @@ def apply_diff(target, diff: Diff) -> int:
             raise ValueError(
                 f"diff run [{off}, {end}) outside block of {n} bytes"
             )
-        if isinstance(data, (bytes, bytearray)) and not isinstance(target, bytearray):
-            # bytes runs applied to a foreign buffer target (a numpy
-            # array in mixed test environments): numpy would *parse*
-            # digit-looking bytes as an int literal, so route the copy
-            # through a byte view instead of slice assignment.
-            memoryview(target).cast("B")[off:end] = data
-        else:
-            target[off:end] = data
+        target[off:end] = data
         written += size
     return written

@@ -130,8 +130,8 @@ class VectorClock(Clock):
 
     The component container comes from ``simcore.vc_alloc``: a plain
     list for the paper's narrow clocks (fastest to index and loop
-    over), a dense ``array('q')`` for wide clocks so the fast backend's
-    merge/dominates kernels can vectorize over the raw int64 buffer.
+    over), a dense ``array('q')`` for wide clocks so the merge/dominates
+    kernels can vectorize over the raw int64 buffer.
     Either way ``v`` supports indexing and item assignment.
     """
 

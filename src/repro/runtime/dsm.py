@@ -79,8 +79,7 @@ class Dsm:
             # analogue is the store replay after TLB/tag update).
 
     def read(self, addr: int, size: int) -> Generator:
-        """Read ``size`` bytes at ``addr``; returns a byte buffer of
-        the active simcore backend (uint8 array or bytearray)."""
+        """Read ``size`` bytes at ``addr``; returns a ``bytearray``."""
         node = self.node
         hooks = self.machine.hooks
         if hooks is not None:

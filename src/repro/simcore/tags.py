@@ -1,21 +1,21 @@
-"""Dense per-node access-tag arrays (shared core of both backends).
+"""Dense per-node access-tag arrays.
 
 One flat byte per coherence block, indexed by block id: 0 = INVALID,
 1 = READ-ONLY, 2 = READ-WRITE.  The table grows geometrically on first
 touch of a high block id and never shrinks.  Alongside the dense array
 a plain ``set`` of readable block ids is maintained so the region hot
 path keeps its one-C-call membership test (``set.__contains__``), while
-bulk sweeps (checker audits, ``blocks_with_access``) run over the flat
-array -- vectorized in the fast backend, scanned in the fallback.
+bulk sweeps (checker audits, ``blocks_with_access``) scan the flat
+array for runs of tagged bytes with one C-level regex search.
 
-Iteration order over tagged blocks is ascending block id in *both*
-backends (part of the bit-identity contract).
+Iteration order over tagged blocks is ascending block id (part of the
+bit-identity contract).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 #: access tags, ordered by permission (mirrors repro.memory.access_control)
 _INV, _RO, _RW = 0, 1, 2
@@ -24,17 +24,14 @@ _INV, _RO, _RW = 0, 1, 2
 #: take a plain scalar loop; only longer ones pay the fixed per-call
 #: cost of a C-level search or slice operation
 SHORT_RUN = 8
-#: maximal runs of tagged (non-zero) bytes
-_TAGGED_RUN = re.compile(rb"[^\x00]+")
+#: maximal runs of non-zero bytes (tagged blocks; changed diff bytes)
+NONZERO_RUN = re.compile(rb"[^\x00]+")
 
 
-class TagArrayBase:
-    """Flat block-tag table; subclassed per backend for bulk scans."""
+class TagArray:
+    """Flat block-tag table with a readable-set fast path."""
 
     __slots__ = ("_tags", "_readable", "permits_read")
-
-    #: backend bulk kernel: indices of non-zero bytes, ascending
-    _nonzero: Callable[[bytearray], List[int]]
 
     def __init__(self, capacity: int = 0) -> None:
         self._tags = bytearray(capacity)
@@ -93,7 +90,7 @@ class TagArrayBase:
     def blocks_with_access(self) -> Iterator[Tuple[int, int]]:
         """All (block, tag) pairs with non-INVALID tags, ascending."""
         t = self._tags
-        return ((b, t[b]) for b in self._nonzero(t))
+        return ((b, t[b]) for b in self.tagged_in(0, len(t)))
 
     def tagged_in(self, lo: int, hi: int) -> List[int]:
         """Blocks in ``[lo, hi)`` with non-INVALID tags, ascending."""
@@ -105,7 +102,7 @@ class TagArrayBase:
         if t.count(0, lo, hi) == hi - lo:
             return []
         out: List[int] = []
-        for m in _TAGGED_RUN.finditer(t, lo, hi):
+        for m in NONZERO_RUN.finditer(t, lo, hi):
             out.extend(range(m.start(), m.end()))
         return out
 

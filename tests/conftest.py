@@ -1,39 +1,9 @@
-"""Shared fixtures: the checked-execution harness for repro.check,
-plus collection gating for the numpy-free CI leg."""
+"""Shared fixtures: the checked-execution harness for repro.check."""
 
 import pytest
 
 from repro import Machine, MachineParams, run_program
 from repro.check import install_checkers
-
-try:
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:
-    _HAVE_NUMPY = False
-
-#: Test modules that exercise numpy-specific surfaces (typed views via
-#: np dtypes, np.array_equal oracles, random data generation).  The CI
-#: fallback leg that uninstalls numpy outright cannot import them; the
-#: simcore kernels they cover are exercised on that leg by
-#: test_simcore.py's oracle-model tests instead.
-_NUMPY_TEST_MODULES = [
-    "test_check.py",
-    "test_classify.py",
-    "test_diff.py",
-    "test_erc.py",
-    "test_extensions.py",
-    "test_lrc_semantics.py",
-    "test_memory.py",
-    "test_protocol_correctness.py",
-    "test_protocol_internals.py",
-    "test_random_programs.py",
-    "test_runtime.py",
-    "test_timeline.py",
-]
-
-collect_ignore = [] if _HAVE_NUMPY else _NUMPY_TEST_MODULES
 
 
 @pytest.fixture

@@ -10,8 +10,13 @@ from repro.core.diff import RUN_HEADER_BYTES, Diff, apply_diff, create_diff
 
 def blocks(size=256, seed=0):
     rng = np.random.default_rng(seed)
-    twin = rng.integers(0, 256, size, dtype=np.uint8)
-    return twin.copy(), twin
+    twin = bytearray(rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+    return bytearray(twin), twin
+
+
+def flip(buf, lo, hi, mask):
+    for i in range(lo, hi):
+        buf[i] ^= mask
 
 
 class TestCreateDiff:
@@ -32,7 +37,7 @@ class TestCreateDiff:
 
     def test_contiguous_run_detected(self):
         dirty, twin = blocks()
-        dirty[10:20] ^= 0xFF
+        flip(dirty, 10, 20, 0xFF)
         d = create_diff(0, dirty, twin)
         assert len(d.runs) == 1
         assert d.runs[0][0] == 10
@@ -41,7 +46,7 @@ class TestCreateDiff:
     def test_separate_runs_detected(self):
         dirty, twin = blocks()
         dirty[0] ^= 1
-        dirty[100:110] ^= 0xFF
+        flip(dirty, 100, 110, 0xFF)
         dirty[255] ^= 1
         d = create_diff(0, dirty, twin)
         assert len(d.runs) == 3
@@ -56,7 +61,7 @@ class TestCreateDiff:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            create_diff(0, np.zeros(10, np.uint8), np.zeros(20, np.uint8))
+            create_diff(0, bytearray(10), bytearray(20))
 
     def test_diff_data_is_copy(self):
         dirty, twin = blocks()
@@ -70,33 +75,35 @@ class TestCreateDiff:
 class TestApplyDiff:
     def test_roundtrip(self):
         dirty, twin = blocks()
-        dirty[30:60] ^= 0xAA
+        flip(dirty, 30, 60, 0xAA)
         dirty[200] ^= 1
         d = create_diff(0, dirty, twin)
-        target = twin.copy()
+        target = bytearray(twin)
         written = apply_diff(target, d)
-        assert np.array_equal(target, dirty)
+        assert target == dirty
         assert written == d.payload_bytes
 
     def test_out_of_range_run_rejected(self):
-        d = Diff(block=0, runs=[(250, np.zeros(10, np.uint8))])
+        d = Diff(block=0, runs=[(250, bytes(10))])
+        target = bytearray(256)
         with pytest.raises(ValueError):
-            apply_diff(np.zeros(256, np.uint8), d)
+            apply_diff(target, d)
+        assert target == bytes(256)
 
     def test_concurrent_disjoint_diffs_compose(self):
         """The multiple-writer property: two writers touching disjoint
         bytes merge cleanly at the home."""
-        base = np.zeros(256, np.uint8)
-        w1 = base.copy()
-        w1[0:50] = 1
-        w2 = base.copy()
-        w2[100:150] = 2
-        home = base.copy()
+        base = bytearray(256)
+        w1 = bytearray(base)
+        w1[0:50] = b"\x01" * 50
+        w2 = bytearray(base)
+        w2[100:150] = b"\x02" * 50
+        home = bytearray(base)
         apply_diff(home, create_diff(0, w1, base))
         apply_diff(home, create_diff(0, w2, base))
-        assert (home[0:50] == 1).all()
-        assert (home[100:150] == 2).all()
-        assert (home[50:100] == 0).all()
+        assert home[0:50] == b"\x01" * 50
+        assert home[100:150] == b"\x02" * 50
+        assert home[50:100] == bytes(50)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -105,15 +112,15 @@ class TestApplyDiff:
         size = data.draw(st.integers(min_value=1, max_value=512))
         rng_seed = data.draw(st.integers(min_value=0, max_value=2**31))
         rng = np.random.default_rng(rng_seed)
-        twin = rng.integers(0, 256, size, dtype=np.uint8)
-        dirty = twin.copy()
+        twin = bytearray(rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+        dirty = bytearray(twin)
         n_edits = data.draw(st.integers(min_value=0, max_value=20))
         for _ in range(n_edits):
             i = data.draw(st.integers(min_value=0, max_value=size - 1))
             dirty[i] = data.draw(st.integers(min_value=0, max_value=255))
         d = create_diff(0, dirty, twin)
-        target = twin.copy()
+        target = bytearray(twin)
         apply_diff(target, d)
-        assert np.array_equal(target, dirty)
+        assert target == dirty
         # Runs cover exactly the changed bytes (maximal contiguity).
-        assert d.payload_bytes == int((dirty != twin).sum())
+        assert d.payload_bytes == sum(a != b for a, b in zip(dirty, twin))

@@ -8,8 +8,6 @@ keep those rules in their plainest form; seeded random batches cover
 overlapping runs across intervals, equal-version ties between writers,
 self-written runs, home blocks and HLRC blocks with live twins, with
 runs both shorter and longer than the kernels' short-run cutoffs.
-
-Pure python on purpose: it runs on both simcore backends.
 """
 
 import random

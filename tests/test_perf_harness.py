@@ -184,9 +184,17 @@ def test_gate_skips_micros_missing_from_either_side():
 # ----------------------------------------------------------------------
 # CLI exit codes (the contract the CI perf job relies on)
 # ----------------------------------------------------------------------
-def test_cli_gate_exit_codes(tmp_path, capsys):
+def test_cli_gate_exit_codes(tmp_path, capsys, monkeypatch):
+    import repro.perf
     from repro.harness.cli import main
 
+    # Every CLI call below reuses one suite measured once, so the
+    # verdicts depend only on the baseline file, never on timing noise
+    # between calls (real timing is covered by the round-trip test).
+    suite = run_suite(reps=2, warmup=0, micros=["full_cell_sc"], shares=False)
+    calls = []
+    monkeypatch.setattr(repro.perf, "run_suite",
+                        lambda **kw: calls.append(kw) or suite)
     baseline_path = tmp_path / "bench.json"
     argv = ["perf", "--reps", "2", "--micros", "full_cell_sc",
             "--against", str(baseline_path)]
@@ -205,3 +213,4 @@ def test_cli_gate_exit_codes(tmp_path, capsys):
     assert main(argv) == 2
     out = capsys.readouterr().out
     assert "gate FAILED" in out
+    assert calls[-1] == {"reps": 2, "micros": ["full_cell_sc"]}

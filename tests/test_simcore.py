@@ -1,36 +1,38 @@
-"""Differential tests for the two simcore backends.
+"""Oracle tests for the simcore kernels.
 
-The fast (numpy) backend and the pure-python fallback must be
-observable-state twins: every kernel returns the same values, iterates
-in the same order, and extracts the same diff runs, down to the byte.
-These tests drive seeded randomized operation sequences through both
-backends side by side and assert identical state after every step --
-the unit-level counterpart of the full-cell stats-sha parity check.
-
-When numpy is not importable (the CI no-numpy leg) the differential
-classes skip and the fallback is instead checked against plain oracle
-models, so the pure-python kernels are still covered on a bare install.
+Each kernel is checked against a plain reference model (a per-byte run
+scan, builtin ``max``, a dict of tags, ``struct``-free round trips) on
+both sides of every size rule the kernels decide from their input:
+the word-scan / ``np.flatnonzero`` crossover of ``diff_runs`` and the
+list / numpy crossover of the vector-clock kernels.  Seeded randomized
+operation sequences drive each check.
 """
 
-import os
 import random
-import subprocess
-import sys
 from array import array
 
+import numpy as np
 import pytest
 
-from repro.simcore import BACKEND, dtypes, pycore
-from repro.simcore.ring import SeqRing
-
-try:
-    from repro.simcore import fastcore
-except ImportError:  # numpy absent: fallback-only environment
-    fastcore = None
-
-needs_fast = pytest.mark.skipif(
-    fastcore is None, reason="numpy unavailable; fast backend cannot load"
+from repro.simcore import (
+    _DIFF_VECTOR_MIN,
+    _VC_VECTOR_MIN,
+    TagArray,
+    alloc_block,
+    as_payload,
+    copy_of,
+    diff_runs,
+    dtype,
+    fill,
+    frombytes,
+    pack_scalar,
+    pack_values,
+    typed_view,
+    vc_alloc,
+    vc_dominates,
+    vc_merge_into,
 )
+from repro.simcore.ring import SeqRing
 
 SEEDS = [0, 1, 2, 7, 1997]
 
@@ -38,43 +40,54 @@ SEEDS = [0, 1, 2, 7, 1997]
 # ----------------------------------------------------------------------
 # tag arrays
 # ----------------------------------------------------------------------
-def _drive_tags(ta, rng: random.Random, trace: list) -> None:
-    """One seeded op sequence; every observable return lands in trace."""
-    for _ in range(400):
-        op = rng.randrange(6)
-        block = rng.randrange(200)
-        if op == 0:
-            ta.set_tag(block, rng.choice([0, 1, 2]))
-        elif op == 1:
-            trace.append(("inv", ta.invalidate(block)))
-        elif op == 2:
-            trace.append(("down", ta.downgrade(block)))
-        elif op == 3:
-            trace.append(("tag", ta.tag(block)))
-        elif op == 4:
-            trace.append(("perm", ta.permits(block, rng.random() < 0.5)))
-        else:
-            trace.append(("read", ta.permits_read(block)))
-    trace.append(("len", len(ta)))
-    trace.append(("bulk", list(ta.blocks_with_access())))
+def _tagged_oracle(tags: bytearray):
+    """Per-byte scan: every (block, tag) with a non-zero tag, ascending."""
+    return [(b, t) for b, t in enumerate(tags) if t]
 
 
-@needs_fast
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tag_arrays_identical(seed):
-    fast, slow = fastcore.TagArray(), pycore.TagArray()
-    tf, ts = [], []
-    _drive_tags(fast, random.Random(seed), tf)
-    _drive_tags(slow, random.Random(seed), ts)
-    assert tf == ts
-    assert bytes(fast._tags) == bytes(slow._tags)
-    assert fast._readable == slow._readable
+    """Every single-block op and the bulk scan agree with a dict model,
+    including ops past the table's end and after it grows."""
+    ta, model = TagArray(), {}
+    rng = random.Random(seed)
+    # block ids well past the initial 64-entry table force growth
+    for step in range(400):
+        block = rng.randrange(200 if step < 200 else 3000)
+        op = rng.randrange(6)
+        had = model.get(block, 0)
+        if op == 0:
+            tag = rng.choice([0, 1, 2])
+            ta.set_tag(block, tag)
+            if tag:
+                model[block] = tag
+            else:
+                model.pop(block, None)
+        elif op == 1:
+            assert ta.invalidate(block) == (had != 0)
+            model.pop(block, None)
+        elif op == 2:
+            assert ta.downgrade(block) == (had == 2)
+            if had == 2:
+                model[block] = 1
+        elif op == 3:
+            assert ta.tag(block) == had
+        elif op == 4:
+            write = rng.random() < 0.5
+            assert ta.permits(block, write) == (had == 2 or (had == 1 and not write))
+        else:
+            assert ta.permits_read(block) == (had != 0)
+        assert len(ta) == len(model)
+        if step % 50 == 0:
+            assert list(ta.blocks_with_access()) == _tagged_oracle(ta._tags)
+    assert ta.capacity > 200
+    assert list(ta.blocks_with_access()) == _tagged_oracle(ta._tags)
+    assert list(ta.blocks_with_access()) == sorted(model.items())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fallback_tags_match_dict_model(seed):
-    """Oracle check that runs even without numpy installed."""
-    ta = pycore.TagArray()
+    ta = TagArray()
     model = {}
     rng = random.Random(seed)
     for _ in range(400):
@@ -92,22 +105,25 @@ def test_fallback_tags_match_dict_model(seed):
 
 
 # ----------------------------------------------------------------------
-# vector clocks -- cross the fastcore vectorization threshold both ways
+# vector clocks -- both sides of the list / numpy crossover
 # ----------------------------------------------------------------------
-@needs_fast
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("n", [4, 16, 63, 64, 128])
+@pytest.mark.parametrize(
+    "n", [4, 16, _VC_VECTOR_MIN - 1, _VC_VECTOR_MIN, _VC_VECTOR_MIN + 1, 128]
+)
 def test_vector_clock_kernels_identical(seed, n):
     rng = random.Random(seed * 1000 + n)
-    vf = array("q", (rng.randrange(100) for _ in range(n)))
-    vs = array("q", vf)
+    v = vc_alloc(n)
+    assert isinstance(v, list) == (n < _VC_VECTOR_MIN)
+    expect = [0] * n
     for _ in range(50):
         other = array("q", (rng.randrange(120) for _ in range(n)))
-        fastcore.vc_merge_into(vf, other)
-        pycore.vc_merge_into(vs, other)
-        assert vf == vs
-        probe = array("q", (rng.randrange(130) for _ in range(n)))
-        assert fastcore.vc_dominates(vf, probe) == pycore.vc_dominates(vs, probe)
+        vc_merge_into(v, other)
+        expect = [max(a, b) for a, b in zip(expect, other)]
+        assert list(v) == expect
+        probe = [rng.randrange(130) for _ in range(n)]
+        assert vc_dominates(v, probe) == all(a >= b for a, b in zip(expect, probe))
+    assert vc_dominates(v, list(v))
 
 
 def test_fallback_vc_matches_builtin_max():
@@ -115,14 +131,14 @@ def test_fallback_vc_matches_builtin_max():
     v = array("q", (rng.randrange(50) for _ in range(32)))
     other = array("q", (rng.randrange(50) for _ in range(32)))
     expect = [max(a, b) for a, b in zip(v, other)]
-    pycore.vc_merge_into(v, other)
+    vc_merge_into(v, other)
     assert list(v) == expect
-    assert pycore.vc_dominates(v, other)
-    assert pycore.vc_dominates(v, v)
+    assert vc_dominates(v, other)
+    assert vc_dominates(v, v)
 
 
 # ----------------------------------------------------------------------
-# twin/diff run extraction
+# twin/diff run extraction -- both sides of the word-scan / numpy rule
 # ----------------------------------------------------------------------
 def _mutate(rng: random.Random, base: bytearray) -> bytearray:
     """One of the real-world dirty-block shapes, randomized."""
@@ -148,21 +164,32 @@ def _mutate(rng: random.Random, base: bytearray) -> bytearray:
     return dirty
 
 
-def _norm(runs):
-    return [(off, bytes(data)) for off, data in runs]
+def _runs_oracle(dirty, twin):
+    """Naive per-byte scan for maximal runs of differing bytes."""
+    runs, start = [], None
+    for i in range(len(dirty) + 1):
+        differs = i < len(dirty) and dirty[i] != twin[i]
+        if differs and start is None:
+            start = i
+        elif not differs and start is not None:
+            runs.append((start, bytes(dirty[start:i])))
+            start = None
+    return runs
 
 
-@needs_fast
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("size", [1, 7, 64, 1024, 4096])
+@pytest.mark.parametrize(
+    "size",
+    sorted({1, 7, 64, _DIFF_VECTOR_MIN - 1, _DIFF_VECTOR_MIN, 1024, 4096}),
+)
 def test_diff_runs_identical(seed, size):
     rng = random.Random(seed * 10 + size)
     twin = bytearray(rng.randrange(256) for _ in range(size))
     for _ in range(20):
         dirty = _mutate(rng, twin)
-        rf = _norm(fastcore.diff_runs(bytes(dirty), bytes(twin)))
-        rs = _norm(pycore.diff_runs(bytes(dirty), bytes(twin)))
-        assert rf == rs
+        runs = diff_runs(dirty, twin)
+        assert runs == _runs_oracle(dirty, twin)
+        assert all(type(data) is bytes for _, data in runs)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -172,7 +199,7 @@ def test_fallback_diff_runs_roundtrip_and_shape(seed):
         twin = bytearray(rng.randrange(256) for _ in range(size))
         for _ in range(10):
             dirty = _mutate(rng, twin)
-            runs = pycore.diff_runs(bytes(dirty), bytes(twin))
+            runs = diff_runs(dirty, twin)
             # runs reconstruct the dirty copy from the twin
             rebuilt = bytearray(twin)
             for off, data in runs:
@@ -189,51 +216,53 @@ def test_fallback_diff_runs_roundtrip_and_shape(seed):
 # ----------------------------------------------------------------------
 # block buffers, packing, typed views
 # ----------------------------------------------------------------------
-@needs_fast
 @pytest.mark.parametrize("seed", SEEDS)
 def test_buffer_kernels_identical(seed):
     rng = random.Random(seed)
     for _ in range(50):
         n = rng.randrange(1, 300)
         raw = bytes(rng.randrange(256) for _ in range(n))
-        bf, bs = fastcore.frombytes(raw), pycore.frombytes(raw)
+        buf = frombytes(raw)
+        assert type(buf) is bytearray and buf == raw
         start = rng.randrange(n)
         stop = rng.randrange(start, n + 1)
         value = rng.randrange(256)
-        fastcore.fill(bf, start, stop, value)
-        pycore.fill(bs, start, stop, value)
-        assert fastcore.tobytes(bf) == pycore.tobytes(bs)
-        assert fastcore.buf_eq(bf, fastcore.frombytes(fastcore.tobytes(bf)))
-        assert pycore.buf_eq(bs, pycore.frombytes(pycore.tobytes(bs)))
-        assert fastcore.tobytes(fastcore.copy_of(bf)) == pycore.tobytes(
-            pycore.copy_of(bs)
-        )
-        assert bytes(fastcore.as_payload(raw)) == bytes(pycore.as_payload(raw))
+        fill(buf, start, stop, value)
+        expect = raw[:start] + bytes([value] * (stop - start)) + raw[stop:]
+        assert buf == expect
+        copy = copy_of(buf)
+        copy[0] ^= 1
+        assert buf == expect and len(copy) == n
+        assert alloc_block(n) == bytes(n)
+        assert bytes(as_payload(raw)) == raw
+        assert bytes(as_payload(np.frombuffer(raw, np.uint8))) == raw
 
 
-@needs_fast
 @pytest.mark.parametrize("spec", ["float64", "int64", "int32", "uint8"])
 def test_pack_and_typed_view_identical(spec):
-    dt = dtypes.dtype(spec)
+    dt = dtype(spec)
     values = [0, 1, 17, 100]
-    assert bytes(fastcore.pack_values(values, (4,), dt)) == bytes(
-        pycore.pack_values(values, (4,), dt)
-    )
-    assert bytes(fastcore.pack_scalar(42, dt)) == bytes(pycore.pack_scalar(42, dt))
-    raw = pycore.pack_values(values, (4,), dt)
-    vf = fastcore.typed_view(fastcore.frombytes(raw), dt)
-    vs = pycore.typed_view(pycore.frombytes(raw), dt)
-    assert list(vf) == list(vs) == values
-    assert vf.sum() == vs.sum()
+    packed = pack_values(values, (4,), dt)
+    assert len(packed) == 4 * dt.itemsize
+    view = typed_view(frombytes(packed), dt)
+    assert view.tolist() == values
+    assert view.sum() == sum(values)
+    assert typed_view(frombytes(pack_scalar(42, dt)), dt).tolist() == [42]
+    # the view writes through to the block it views
+    block = frombytes(packed)
+    typed_view(block, dt)[2] = 5
+    assert typed_view(block, dt).tolist() == [0, 1, 5, 100]
+    # every spelling of the type resolves to the same dtype
+    assert dtype(np.dtype(spec)) is dt and dtype(getattr(np, spec)) is dt
 
 
 def test_pack_values_shape_checked():
-    dt = dtypes.dtype("float64")
+    dt = dtype("float64")
+    assert dtype(float) is dt and dtype("d") is dt and dtype("f8") is dt
     with pytest.raises(ValueError):
-        pycore.pack_values([1.0, 2.0], (3,), dt)
-    if fastcore is not None:
-        with pytest.raises(ValueError):
-            fastcore.pack_values([1.0, 2.0], (3,), dt)
+        pack_values([1.0, 2.0], (3,), dt)
+    with pytest.raises(TypeError):
+        dtype("complex128")
 
 
 # ----------------------------------------------------------------------
@@ -275,49 +304,3 @@ def test_seq_ring_grows_past_collisions():
     assert ring.put(0, "a") and ring.put(1024, "b") and ring.put(2048, "c")
     assert ring.pop(1024) == "b"
     assert 0 in ring and 2048 in ring and 1024 not in ring
-
-
-# ----------------------------------------------------------------------
-# backend selection and end-to-end parity
-# ----------------------------------------------------------------------
-def _spawn(env_value):
-    env = dict(os.environ, REPRO_SIMCORE=env_value)
-    out = subprocess.run(
-        [sys.executable, "-c", "import repro.simcore as s; print(s.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_env_var_selects_backend():
-    assert _spawn("python") == "python"
-    if fastcore is not None:
-        assert _spawn("fast") == "fast"
-        assert _spawn("auto") == "fast"
-    assert BACKEND in ("fast", "python")
-
-
-@needs_fast
-def test_full_cell_sha_parity_across_backends():
-    """The end-to-end contract: one tiny LU cell produces bit-identical
-    stats under the fast backend and the pure-python fallback."""
-    code = (
-        "from repro.perf.micros import full_cell_sc;"
-        "print(full_cell_sc()[1])"
-    )
-    shas = {}
-    for backend in ("fast", "python"):
-        env = dict(os.environ, REPRO_SIMCORE=backend)
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        shas[backend] = out.stdout.strip()
-    assert shas["fast"] == shas["python"]
-    assert len(shas["fast"]) == 16
