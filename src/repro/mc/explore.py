@@ -21,6 +21,13 @@ Two exploration modes:
   that can change the outcome are revisited; commuting interleavings
   are pruned.
 
+Each execution pays only for the steps it adds.  The steps before the
+backtrack depth replay the previous execution's: the scheduler reuses
+their recorded :class:`~repro.mc.scheduler.Step` records (after checking
+that the same event is forced and the same events are enabled), and the
+race analysis keeps their happens-before order and analyses only the
+steps from the backtrack depth on.
+
 Every explored schedule runs under the PR 2 checkers (invariant
 sanitizer always; race detector on race-free litmuses) and has its
 final outcome checked against the litmus's allowed set for the
@@ -38,11 +45,11 @@ from repro.check import install_checkers
 from repro.cluster.config import NotificationMechanism
 from repro.mc.litmus import Litmus, model_of
 from repro.mc.scheduler import (
+    GLOBAL,
     ControlledScheduler,
     ReplayDivergence,
     Step,
     TraceBudgetExceeded,
-    conflict,
     format_trace,
 )
 from repro.runtime.program import run_program
@@ -148,6 +155,34 @@ class _Frame:
         self.done_res: dict = {}
 
 
+class _HappensBefore:
+    """Happens-before order of the current trace, kept across the
+    executions that share its prefix (see :meth:`Explorer._add_backtracks`).
+    """
+
+    __slots__ = ("hb", "anc", "by_res", "index_of")
+
+    def __init__(self):
+        #: hb[j]: bitmask of the trace indices that happen-before j
+        #: through dependence and event-creation edges, transitively
+        self.hb: List[int] = []
+        #: anc[j]: bitmask of j's creation ancestors
+        self.anc: List[int] = []
+        #: footprint element -> bitmask of the trace indices touching it
+        self.by_res: Dict[tuple, int] = {}
+        #: seq -> trace index (discarded steps linger, but a step's
+        #: parent is always an earlier step of its own trace)
+        self.index_of: Dict[int, int] = {}
+
+    def truncate(self, n: int) -> None:
+        """Forget every step from trace index ``n`` on."""
+        del self.hb[n:]
+        del self.anc[n:]
+        keep = (1 << n) - 1
+        for r in self.by_res:
+            self.by_res[r] &= keep
+
+
 def _flatten(results) -> tuple:
     return tuple(x for r in results for x in (r if r is not None else ()))
 
@@ -178,8 +213,13 @@ class Explorer:
     # ------------------------------------------------------------------
     # executing one schedule
     # ------------------------------------------------------------------
-    def _execute(self, prefix: List[int], sleep=None, sleep_from: int = 0):
-        """Run one schedule; returns (scheduler, outcome, report, error)."""
+    def _execute(self, prefix: List[int], sleep=None, sleep_from: int = 0,
+                 recorded=()):
+        """Run one schedule; returns (scheduler, outcome, report, error).
+
+        ``recorded`` holds the Steps an earlier execution recorded for
+        a prefix of ``prefix``; the scheduler reuses them on replay.
+        """
         inst = self.litmus.instantiate(
             self.protocol, self.granularity, mechanism=self.mechanism
         )
@@ -189,6 +229,7 @@ class Explorer:
             max_steps=self.max_steps,
             initial_sleep=sleep,
             sleep_from=sleep_from,
+            recorded=recorded,
         )
         checkers = install_checkers(
             inst.machine,
@@ -229,6 +270,8 @@ class Explorer:
         trace: List[Step],
         frames: List[_Frame],
         parent: Dict[int, int],
+        start: int,
+        order: _HappensBefore,
     ) -> None:
         """Flanagan-Godefroid style backtrack-point computation.
 
@@ -238,60 +281,56 @@ class Explorer:
         non-adjacent dependent pairs are reached transitively by later
         re-analyses).  For each race, the alternative scheduled at
         ``i`` is ``j``'s earliest pending ancestor at that point.
+
+        Only the steps from ``start`` (the backtrack depth) on are
+        analysed: ``order`` holds the happens-before order of the
+        earlier steps, which replayed unchanged, and their races were
+        added to the frames they share with the previous execution.
+        Every step conflicting with ``j`` happens-before it, so an
+        immediate race partner is a *maximal* element of ``hb[j]``;
+        walking the direct predecessors from the latest down and
+        skipping those already covered visits exactly those.
         """
-        n = len(trace)
-        index_of = {st.seq: k for k, st in enumerate(trace)}
-        # hb[j]: bitmask of trace indices that happen-before j through
-        # dependence edges and event-creation edges, transitively.
-        hb = [0] * n
-        for j in range(n):
+        order.truncate(start)
+        hb, anc, by_res, index_of = order.hb, order.anc, order.by_res, order.index_of
+        for j in range(start, len(trace)):
+            st = trace[j]
+            res = st.resources
+            # steps whose footprint conflicts with j's
+            if GLOBAL in res:
+                deps = (1 << j) - 1
+            else:
+                deps = by_res.get(GLOBAL, 0)
+                for r in res:
+                    deps |= by_res.get(r, 0)
+            for r in res:
+                by_res[r] = by_res.get(r, 0) | (1 << j)
+            index_of[st.seq] = j
+            preds = deps
+            pi = index_of.get(st.parent)
+            if pi is None:
+                anc_j = 0
+            else:
+                anc_j = anc[pi] | (1 << pi)
+                preds |= 1 << pi
+            anc.append(anc_j)
             m = 0
-            pj = trace[j].parent
-            if pj is not None and pj in index_of:
-                pi = index_of[pj]
-                m |= hb[pi] | (1 << pi)
-            for i in range(j):
-                if not (m >> i) & 1 and conflict(
-                    trace[i].resources, trace[j].resources
-                ):
-                    m |= hb[i] | (1 << i)
-            hb[j] = m
-
-        # creation-ancestor chains (seq -> seq)
-        def ancestors(seq: int):
-            chain = []
-            p = parent.get(seq)
-            while p is not None:
-                chain.append(p)
-                p = parent.get(p)
-            return chain
-
-        for j in range(n):
-            res_j = trace[j].resources
-            anc_j = set(ancestors(trace[j].seq))
-            for i in range(j - 1, -1, -1):
-                if trace[i].seq in anc_j:
-                    continue
-                if not conflict(trace[i].resources, res_j):
-                    continue
-                # immediate race? no k with i ->hb k ->hb j strictly
-                # between them
-                immediate = True
-                for k in range(i + 1, j):
-                    if (hb[k] >> i) & 1 and (hb[j] >> k) & 1:
-                        immediate = False
-                        break
-                if not immediate:
-                    continue
+            races = []
+            while preds:
+                i = preds.bit_length() - 1
+                if (deps >> i) & 1 and not (anc_j >> i) & 1:
+                    races.append(i)
+                m |= hb[i] | (1 << i)
+                preds &= ~m
+            hb.append(m)
+            for i in races:
                 frame = frames[i]
-                enabled = set(frame.enabled)
+                enabled = frame.enabled
                 # schedule j itself, or its earliest ancestor that was
                 # already pending at point i
-                cand = None
-                for seq in [trace[j].seq] + ancestors(trace[j].seq):
-                    if seq in enabled:
-                        cand = seq
-                        break
+                cand = st.seq
+                while cand is not None and cand not in enabled:
+                    cand = parent.get(cand)
                 if cand is None:
                     # conservative fallback: branch on everything
                     frame.todo.update(enabled)
@@ -309,14 +348,19 @@ class Explorer:
             dpor=self.dpor,
         )
         prefix: List[int] = []
+        recorded: List[Step] = []
         frames: List[_Frame] = []
+        order = _HappensBefore()
         sleep: dict = {}
         sleep_from = 0
         while True:
             sched, outcome, report, error = self._execute(
-                prefix, sleep=sleep, sleep_from=sleep_from
+                prefix, sleep=sleep, sleep_from=sleep_from, recorded=recorded
             )
             trace = sched.trace
+            # steps replayed from the previous execution's records are
+            # already accounted for below; only the later ones are new
+            start = len(sched.recorded)
             res.schedules += 1
             res.transitions += len(trace)
             res.max_trace_len = max(res.max_trace_len, len(trace))
@@ -339,18 +383,19 @@ class Explorer:
                         trace_text=format_trace(trace),
                     )
             # grow the frame stack with the fresh suffix
-            del frames[len(prefix):]
-            for k in range(len(prefix), len(trace)):
+            for k in range(len(frames), len(trace)):
                 st = trace[k]
                 frames.append(
                     _Frame(st.enabled, st.seq, sched.sleep_log[k] or {})
                 )
-            for k, st in enumerate(trace):
+            for k in range(start, len(trace)):
+                st = trace[k]
                 frames[k].done_res[st.seq] = st.resources
             if self.dpor:
-                self._add_backtracks(trace, frames, sched.parent)
+                self._add_backtracks(trace, frames, sched.parent, start, order)
             else:
-                for k, st in enumerate(trace):
+                for k in range(start, len(trace)):
+                    st = trace[k]
                     if len(st.enabled) > 1:
                         frames[k].todo.update(st.enabled)
             # deepest frame with a pending, non-slept alternative
@@ -391,6 +436,7 @@ class Explorer:
             f.chosen = choice
             del frames[depth + 1:]
             prefix = [fr.chosen for fr in frames]
+            recorded = trace[:depth]
         return res
 
 

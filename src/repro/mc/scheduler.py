@@ -19,7 +19,9 @@ the exploration driver installs on a machine under test.  Per dispatch it
   blocks, locks and barriers it touched), and its creation parent.
   Footprints drive the partial-order reduction in
   :mod:`repro.mc.explore`; parentage lets the explorer map an event
-  back to the pending ancestor that leads to it.
+  back to the pending ancestor that leads to it.  A replayed step whose
+  record an earlier execution passed in reuses that record, once the
+  forced seq and the whole enabled set are checked equal to it.
 
 Wire-order constraints preserved (the audited contract of
 :mod:`repro.net.myrinet`, pinned by the network tests): messages on the
@@ -54,7 +56,8 @@ GLOBAL = ("*",)
 
 
 class ReplayDivergence(SimulationError):
-    """A forced schedule asked for an event that is not enabled.
+    """A forced schedule asked for an event that is not enabled, or a
+    replayed step saw other enabled events than its record holds.
 
     Replays are deterministic, so this indicates either a corrupted
     schedule (wrong litmus/protocol/granularity for the trace) or
@@ -151,11 +154,16 @@ class ControlledScheduler(SchedulerPolicy):
         max_steps: int = 20_000,
         initial_sleep: Optional[Dict[int, FrozenSet[tuple]]] = None,
         sleep_from: int = 0,
+        recorded: Sequence[Step] = (),
     ):
         self.machine = machine
         self.engine = machine.engine
         self.blockspace = machine.blockspace
         self.forced = list(forced)
+        #: Steps an earlier execution recorded for a prefix of
+        #: ``forced``: replayed steps reuse them instead of rebuilding
+        #: label and footprint, once the enabled set is checked equal.
+        self.recorded = recorded
         self.max_steps = max_steps
         #: sleep set (seq -> footprint): events whose subtrees an
         #: earlier exploration already covered.  ``initial_sleep`` is
@@ -178,6 +186,9 @@ class ControlledScheduler(SchedulerPolicy):
         self.proc_blocks: Dict[int, FrozenSet[tuple]] = {}
         self._pending: Optional[Step] = None
         self._pre_seq = 0
+        #: event seq -> :meth:`_classify` result (a seq names one
+        #: entry for the whole execution)
+        self._kinds: Dict[int, tuple] = {}
         machine.add_hooks(_FootprintHooks(self))
         machine.engine.set_policy(self)
 
@@ -185,19 +196,29 @@ class ControlledScheduler(SchedulerPolicy):
     # event classification
     # ------------------------------------------------------------------
     def _classify(self, entry):
-        """('deliver', msg) | ('dispatch', (node, msg)) |
-        ('process', proc) | ('other', None)."""
+        """Classify a ready entry; memoised under its seq.
+
+        Returns ``(kind, detail, lane, size)``: ``('deliver', msg)``,
+        ``('dispatch', (node, msg))``, ``('process', proc)`` or
+        ``('other', None)``, then the FIFO lane the event waits in and
+        its size there (see :meth:`enabled_events`).
+        """
         fn = entry[3]
         owner = getattr(fn, "__self__", None)
+        out = "other", None, None, 0
         if owner is self.machine:
             name = fn.__name__
             if name == "_deliver":
-                return "deliver", entry[4][0]
-            if name == "_dispatch":
-                return "dispatch", entry[4]
-        if isinstance(owner, Process):
-            return "process", owner
-        return "other", None
+                m = entry[4][0]
+                # local deliveries are FIFO unconditionally: size 0
+                size = 0 if m.src == m.dst else m.size_bytes
+                out = "deliver", m, ("link", m.src, m.dst), size
+            elif name == "_dispatch":
+                out = "dispatch", entry[4], ("cpu", entry[4][0].id), 0
+        elif isinstance(owner, Process):
+            out = "process", owner, None, 0
+        self._kinds[entry[1]] = out
+        return out
 
     @staticmethod
     def _rank_of(proc: Process) -> Optional[int]:
@@ -255,36 +276,34 @@ class ControlledScheduler(SchedulerPolicy):
     # enabled-set computation
     # ------------------------------------------------------------------
     def enabled_events(self, ready):
-        """Filter the ready set down to wire-feasible choices."""
-        blocked = set()
-        links: Dict[tuple, list] = {}
-        node_dispatch: Dict[int, list] = {}
+        """Filter the ready set down to wire-feasible choices.
+
+        An event waits behind an earlier (lower-seq) event of its lane
+        unless it is strictly smaller: a message overtakes an earlier
+        one on the same link only by being strictly smaller, while
+        local deliveries and a node's handler dispatches carry size 0
+        and so stay FIFO.
+        """
+        if len(ready) < 2:
+            return ready
+        kinds = self._kinds
+        lanes: Dict[tuple, list] = {}
         for e in ready:
-            kind, detail = self._classify(e)
-            if kind == "deliver":
-                m = detail
-                links.setdefault((m.src, m.dst), []).append(
-                    (e[1], m.size_bytes)
-                )
-            elif kind == "dispatch":
-                node_dispatch.setdefault(detail[0].id, []).append(e[1])
-        for (src, dst), pend in links.items():
+            kind = kinds.get(e[1]) or self._classify(e)
+            lane = kind[2]
+            if lane is not None:
+                lanes.setdefault(lane, []).append((e[1], kind[3]))
+        blocked = set()
+        for pend in lanes.values():
             if len(pend) < 2:
                 continue
             pend.sort()
             for i in range(1, len(pend)):
                 seq_i, size_i = pend[i]
                 for seq_j, size_j in pend[:i]:
-                    # A message overtakes an earlier one on the same
-                    # link only by being strictly smaller; local
-                    # deliveries are FIFO unconditionally.
-                    if src == dst or size_j <= size_i:
+                    if size_j <= size_i:
                         blocked.add(seq_i)
                         break
-        for seqs in node_dispatch.values():
-            if len(seqs) > 1:
-                seqs.sort()
-                blocked.update(seqs[1:])
         if not blocked:
             return ready
         return [e for e in ready if e[1] not in blocked]
@@ -294,20 +313,27 @@ class ControlledScheduler(SchedulerPolicy):
     # ------------------------------------------------------------------
     def choose(self, ready):
         enabled = self.enabled_events(ready)
+        seqs = tuple([e[1] for e in enabled])
         depth = len(self.trace)
+        self._pre_seq = self.engine.next_seq
         if depth < len(self.forced):
             want = self.forced[depth]
-            entry = None
-            for e in enabled:
-                if e[1] == want:
-                    entry = e
-                    break
-            if entry is None:
-                have = [e[1] for e in enabled]
+            if want not in seqs:
                 raise ReplayDivergence(
                     f"forced schedule wants seq {want} at step {depth}, "
-                    f"enabled: {have}"
+                    f"enabled: {list(seqs)}"
                 )
+            entry = enabled[seqs.index(want)]
+            if depth < len(self.recorded):
+                step = self.recorded[depth]
+                if step.seq != want or step.enabled != seqs:
+                    raise ReplayDivergence(
+                        f"step {depth} replays seq {want} with enabled "
+                        f"{list(seqs)}; recorded seq {step.seq} with "
+                        f"enabled {list(step.enabled)}"
+                    )
+                self._pending = step
+                return entry
         else:
             entry = enabled[0]
             if self.sleep:
@@ -315,16 +341,15 @@ class ControlledScheduler(SchedulerPolicy):
                     if e[1] not in self.sleep:
                         entry = e
                         break
-        kind, detail = self._classify(entry)
+        kind, detail = (self._kinds.get(entry[1]) or self._classify(entry))[:2]
         self.fp = self._base_resources(kind, detail)
         self._pending = Step(
             seq=entry[1],
             time=entry[0],
             label=self._label(kind, detail, entry),
-            enabled=tuple(e[1] for e in enabled),
+            enabled=seqs,
             parent=self.parent.get(entry[1]),
         )
-        self._pre_seq = self.engine.next_seq
         return entry
 
     def executed(self, entry):
@@ -332,8 +357,9 @@ class ControlledScheduler(SchedulerPolicy):
         for s in range(self._pre_seq, self.engine.next_seq):
             self.parent[s] = chosen
         step = self._pending
-        step.resources = frozenset(self.fp)
-        self.fp = None
+        if self.fp is not None:
+            step.resources = frozenset(self.fp)
+            self.fp = None
         self._pending = None
         k = len(self.trace)
         if k >= self.sleep_from:

@@ -113,10 +113,6 @@ def _entry_live(entry: _Entry) -> bool:
     return ev is None or not ev.cancelled
 
 
-def _entry_key(entry: _Entry) -> Tuple[float, int]:
-    return (entry[0], entry[1])
-
-
 class SchedulerPolicy:
     """Chooses which ready event the engine dispatches next.
 
@@ -212,9 +208,13 @@ class Engine:
         engine.  The entries themselves are the engine's live tuples --
         a :class:`SchedulerPolicy` hands one back from ``choose``.
         """
-        entries = [e for e in self._fifo if _entry_live(e)]
-        entries.extend(e for e in self._queue if _entry_live(e))
-        entries.sort(key=_entry_key)
+        entries = [e for e in self._fifo if e[2] is None or not e[2].cancelled]
+        entries.extend(
+            [e for e in self._queue if e[2] is None or not e[2].cancelled]
+        )
+        # Plain tuple order is (time, seq) order: seqs are unique, so
+        # the comparison never reaches the handle.
+        entries.sort()
         return entries
 
     # ------------------------------------------------------------------
@@ -298,7 +298,8 @@ class Engine:
         on the zero-delay deque (atomic under the GIL), so this may be
         called from a signal handler while :meth:`run` is mid-event.
         The poison entry carries ``seq=-1``, sorting ahead of every
-        real event at the current instant, so nothing else runs first.
+        real event at the current instant, so nothing else runs first;
+        the policy-driven loop fires it before consulting its policy.
         """
 
         def _raise() -> None:
@@ -427,15 +428,22 @@ class Engine:
     def _remove_entry(self, entry: _Entry) -> None:
         """Remove one live entry from whichever lane holds it.
 
-        Sequence numbers are unique, so tuple comparison in ``remove``
-        short-circuits at element 1 for every non-matching entry and
-        finds the match by identity -- event args are never compared.
+        Matches by identity: nothing is compared or formatted, so an
+        event argument with an expensive (or raising) ``__repr__`` costs
+        nothing here.
         """
-        try:
-            self._fifo.remove(entry)
-        except ValueError:
-            self._queue.remove(entry)
-            heapq.heapify(self._queue)
+        fifo = self._fifo
+        for i, e in enumerate(fifo):
+            if e is entry:
+                del fifo[i]
+                return
+        queue = self._queue
+        for i, e in enumerate(queue):
+            if e is entry:
+                del queue[i]
+                heapq.heapify(queue)
+                return
+        raise SimulationError("policy chose an entry that is not queued")
 
     def _run_policy(self, until: Optional[float]) -> float:
         """The policy-driven event loop (see :class:`SchedulerPolicy`).
@@ -450,13 +458,19 @@ class Engine:
         self._running = True
         prev_active = _ACTIVE
         _ACTIVE = self
-        policy = self._policy
+        choose = self._policy.choose
+        executed = self._policy.executed
+        fifo = self._fifo
         try:
             while True:
+                if fifo and fifo[0][1] == -1:
+                    # interrupt(): the poison entry fires before the
+                    # policy is asked to choose anything.
+                    fifo.popleft()[3]()
                 ready = self.ready_events()
                 if not ready:
                     break
-                entry = policy.choose(ready)
+                entry = choose(ready)
                 if until is not None and entry[0] > until:
                     self._now = until
                     return until
@@ -470,7 +484,7 @@ class Engine:
                         "likely protocol livelock"
                     )
                 entry[3](*entry[4])
-                policy.executed(entry)
+                executed(entry)
             if until is not None and until > self._now:
                 self._now = until
             return self._now

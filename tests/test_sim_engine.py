@@ -412,3 +412,41 @@ def test_policy_run_until_stops_early():
     assert eng.pending == 1
     eng.run()
     assert hits == [1, 2]
+
+
+class _LastFirst(SchedulerPolicy):
+    def choose(self, ready):
+        return ready[-1]
+
+
+class _ReprBoom:
+    def __repr__(self):
+        raise RuntimeError("repr boom")
+
+
+def test_policy_removes_heap_entries_without_formatting_them():
+    # The chosen entry sits in the heap, not the FIFO lane: finding it
+    # must not format the entry (its argument's repr raises here).
+    eng = Engine()
+    eng.set_policy(_LastFirst())
+    hits = []
+    arg = _ReprBoom()
+    eng.schedule(1.0, hits.append, arg)
+    eng.schedule(0.0, hits.append, "fifo")
+    eng.run()
+    assert hits == [arg, "fifo"]
+    assert eng.pending == 0
+
+
+def test_interrupt_fires_first_under_a_policy():
+    eng = Engine()
+    eng.set_policy(_LastFirst())
+    hits = []
+    eng.interrupt(_Boom("now"))
+    eng.schedule(0.0, hits.append, 1)
+    eng.schedule(0.0, hits.append, 2)
+    with pytest.raises(_Boom):
+        eng.run()
+    assert hits == []
+    eng.run()
+    assert hits == [2, 1]
