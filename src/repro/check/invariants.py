@@ -19,6 +19,9 @@ block only and skipping blocks with a transaction in flight:
   copy agreeing with the recorded owner; every read-only copy away
   from an unowned home is covered by a recorded lease bounded by the
   block's ``rts``.
+* SC, DC, SW-LRC, Tardis -- no stranded request: a home record that
+  is not busy holds no queued requests (its drain ran).  DC checks
+  only this rule; SC's tag rules are not wired for it.
 
 **at every release boundary** (the ``on_release_done`` hook, firing
 after ``release_prepare`` for both lock releases and barrier arrivals):
@@ -112,6 +115,7 @@ class InvariantChecker(Hooks):
         name = self.p.name
         self._per_message = {
             "sc": self._msg_sc,
+            "dc": self._msg_dc,
             "swlrc": self._msg_swlrc,
             "tardis": self._msg_tardis,
         }.get(name)
@@ -162,10 +166,25 @@ class InvariantChecker(Hooks):
         if self._per_message is not None and msg.block >= 0:
             self._per_message(msg.block)
 
+    def _in_transaction(self, e, block: int) -> bool:
+        """Whether home record ``e`` (may be None) is mid-transaction:
+        busy, or holding queued requests.  Queued requests behind an
+        idle record are reported as ``stranded-request``: the drain
+        that should have started them never ran (a lost wakeup that
+        would otherwise surface only as a deadlock at the end)."""
+        if e is None:
+            return False
+        if e.pending and not e.busy:
+            self._report(
+                "stranded-request",
+                f"{len(e.pending)} request(s) queued behind an idle record",
+                block=block,
+            )
+        return e.busy or bool(e.pending)
+
     def _sc_in_flight(self, block: int) -> bool:
         p = self.p
-        e = p.dir.get(block)
-        if e is not None and (e.busy or e.pending):
+        if self._in_transaction(p.dir.get(block), block):
             return True
         for i in range(self.n):
             key = (i, block)
@@ -214,10 +233,12 @@ class InvariantChecker(Hooks):
                 block=block,
             )
 
+    def _msg_dc(self, block: int) -> None:
+        self._in_transaction(self.p.dir.get(block), block)
+
     def _msg_swlrc(self, block: int) -> None:
         p = self.p
-        e = p.owners.get(block)
-        if e is not None and (e.busy or e.pending):
+        if self._in_transaction(p.owners.get(block), block):
             return
         tags = self._tags(block)
         rw = [i for i, t in enumerate(tags) if t == RW]
@@ -246,7 +267,7 @@ class InvariantChecker(Hooks):
     def _msg_tardis(self, block: int) -> None:
         p = self.p
         e = p.entries.get(block)
-        if e is None or e.busy or e.pending:
+        if e is None or self._in_transaction(e, block):
             return
         if e.wts > e.rts:
             self._report(

@@ -121,14 +121,17 @@ def copyset_bytes(sharers) -> int:
     return COPYSET_ENTRY_BYTES * len(sharers)
 
 
-@dataclass
+@dataclass(slots=True)
 class DirEntry:
     """Home-side directory state for one block."""
 
     sharers: Set[int] = field(default_factory=set)
     owner: Optional[int] = None
     busy: bool = False
-    pending: Deque[Message] = field(default_factory=deque)
+    #: requests waiting behind the busy transaction; created by the
+    #: first one that waits and dropped once drained, so an idle entry
+    #: carries no queue
+    pending: Optional[Deque[Message]] = None
 
 
 @register
@@ -317,6 +320,8 @@ class SCProtocol(CoherenceProtocol):
             return
         e = self._entry(msg.block)
         if e.busy:
+            if e.pending is None:
+                e.pending = deque()
             e.pending.append(msg)
             return
         self._start_read(node, msg, e)
@@ -376,6 +381,8 @@ class SCProtocol(CoherenceProtocol):
             return
         e = self._entry(msg.block)
         if e.busy:
+            if e.pending is None:
+                e.pending = deque()
             e.pending.append(msg)
             return
         self._start_write(node, msg, e)
@@ -458,6 +465,8 @@ class SCProtocol(CoherenceProtocol):
         e.busy = False
         if e.pending:
             nxt = e.pending.popleft()
+            if not e.pending:
+                e.pending = None
             if nxt.mtype == "read_req":
                 self._start_read(node, nxt, e)
             else:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.lrc_base import LRCBase
@@ -43,13 +43,15 @@ from repro.sim.process import Future
 from repro.simcore import SHORT_RUN
 
 
-@dataclass
+@dataclass(slots=True)
 class OwnerEntry:
     """Home-side authoritative ownership record for one block."""
 
     owner: Optional[int] = None
     busy: bool = False
-    pending: Deque[Message] = field(default_factory=deque)
+    #: ownership requests waiting behind the transfer in flight; None
+    #: whenever none waits
+    pending: Optional[Deque[Message]] = None
 
 
 class HintTable:
@@ -209,6 +211,8 @@ class SWLRCProtocol(LRCBase):
             return
         e = self._entry(msg.block)
         if e.busy:
+            if e.pending is None:
+                e.pending = deque()
             e.pending.append(msg)
             return
         self._start_own(node, msg, e)
@@ -308,7 +312,10 @@ class SWLRCProtocol(LRCBase):
     def _complete_own(self, node, e: OwnerEntry) -> None:
         e.busy = False
         if e.pending:
-            self._start_own(node, e.pending.popleft(), e)
+            nxt = e.pending.popleft()
+            if not e.pending:
+                e.pending = None
+            self._start_own(node, nxt, e)
 
     # ==================================================================
     # read fault: one-hop service from the hinted writer (app context)

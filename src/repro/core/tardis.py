@@ -50,7 +50,7 @@ SW-LRC/HLRC.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.protocol import CoherenceProtocol, register
@@ -62,12 +62,15 @@ from repro.sim.process import Future
 TS_BYTES = 16
 
 
-@dataclass
+@dataclass(slots=True)
 class TardisEntry:
     """Home-side per-block record -- the *entire* coherence metadata.
 
-    Fixed size regardless of node count: two timestamps, an owner id,
-    and transfer-serialization plumbing.  No copyset.
+    Modeled as two timestamps and an owner id, whatever the node count;
+    no copyset.  On the host it also carries the transfer-serialization
+    plumbing (``busy``, ``stalled``, ``pending``), which is not modeled
+    metadata.  ``pending`` is a queue only while requests wait behind a
+    transfer.
     """
 
     wts: int = 0
@@ -76,7 +79,9 @@ class TardisEntry:
     busy: bool = False
     #: request stalled behind an owner recall
     stalled: Optional[Message] = None
-    pending: Deque[Message] = field(default_factory=deque)
+    #: requests waiting behind the transfer in flight; None whenever
+    #: none waits
+    pending: Optional[Deque[Message]] = None
 
 
 @register
@@ -243,6 +248,8 @@ class TardisProtocol(CoherenceProtocol):
             return
         e = self._entry(msg.block)
         if e.busy:
+            if e.pending is None:
+                e.pending = deque()
             e.pending.append(msg)
             return
         self._start(node, msg, e)
@@ -354,7 +361,10 @@ class TardisProtocol(CoherenceProtocol):
     def _complete(self, node, e: TardisEntry) -> None:
         e.busy = False
         if e.pending:
-            self._start(node, e.pending.popleft(), e)
+            nxt = e.pending.popleft()
+            if not e.pending:
+                e.pending = None
+            self._start(node, nxt, e)
 
     # ------------------------------------------------------------------
     # owner recall (downgrade + writeback -- never an invalidation)

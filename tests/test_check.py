@@ -3,6 +3,7 @@ protocol-invariant sanitizer, the execution-layer wiring, and the
 simulator lint (tools/lint_sim.py)."""
 
 import importlib.util
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.check.race import resolve_unit
 from repro.exec.pool import _cache_extra
 from repro.exec.serialize import RunRecord
 from repro.harness.experiment import RunConfig, run_experiment
+from repro.net.message import Message
 
 PROTOCOLS = ("sc", "swlrc", "hlrc")
 
@@ -312,6 +314,21 @@ class TestInvariantInjection:
         checkers.invariants._release_common(1)
         rules = {v.rule for v in checkers.invariants.violations}
         assert "dirty-survives-release" in rules
+
+    @pytest.mark.parametrize("protocol,records", [
+        ("sc", "dir"), ("dc", "dir"), ("swlrc", "owners"), ("tardis", "entries"),
+    ])
+    def test_stranded_request_violation(self, protocol, records):
+        """A request left queued behind an idle home record (a lost
+        wakeup) is reported at the next message for the block."""
+        m, checkers = self._run_app_cell(protocol)
+        block, e = next(iter(getattr(m.protocol, records).items()))
+        msg = Message(src=1, dst=0, mtype="probe", size_bytes=0, block=block)
+        e.busy = False
+        e.pending = deque([msg])
+        checkers.invariants.after_message(m.protocol, m.nodes[0], msg)
+        rules = {v.rule for v in checkers.invariants.violations}
+        assert rules == {"stranded-request"}
 
     def test_clean_cells_report_nothing(self):
         for protocol in PROTOCOLS:

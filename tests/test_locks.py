@@ -160,3 +160,29 @@ def test_lrc_lock_messages_carry_vector_bytes():
         r = run_program(m, program, nprocs=2)
         msizes[proto] = r.stats.msg_bytes["lock_req"]
     assert msizes["hlrc"] > msizes["sc"]
+
+
+def test_successor_waits_at_holder_and_queue_is_dropped():
+    """Requests reaching a holder whose tenure is not over wait in its
+    queue, are granted in the manager's order, and each drained queue
+    is dropped."""
+    m = make(n=4)
+    holders = m.locks._holder
+    waiting = {}
+    order = []
+
+    def program(dsm, rank, nprocs):
+        yield from dsm.compute({0: 1.0, 1: 100.0, 3: 200.0, 2: 300.0}[rank])
+        yield from dsm.acquire(4)
+        order.append(rank)
+        if rank == 0:
+            yield from dsm.compute(2000.0)
+            for (node, _), st in sorted(holders.items()):
+                waiting[node] = [w[0] for w in st.waiters or ()]
+        yield from dsm.release(4)
+        yield from dsm.barrier(0, participants=nprocs)
+
+    run_program(m, program, nprocs=4)
+    assert waiting == {0: [1], 1: [3], 2: [], 3: [2]}
+    assert order == [0, 1, 3, 2]
+    assert all(st.waiters is None for st in holders.values())

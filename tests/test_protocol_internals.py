@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Machine, MachineParams, run_program
+from repro.harness.experiment import RunConfig, run_experiment
 from repro.memory.access_control import INV, RO, RW
 
 
@@ -191,10 +192,56 @@ class TestSCInternals:
         assert m.protocol._deferred_recalls == {}
         for e in m.protocol.dir.values():
             assert not e.busy
-            assert not e.pending
+            assert e.pending is None
+
+    @pytest.mark.parametrize("protocol", ["sc", "dc"])
+    def test_busy_entry_queues_reads_and_writes(self, protocol, home_queue_run):
+        """A write and a read reaching a busy directory entry queue
+        behind it, start in arrival order, and the drained queue is
+        dropped."""
+        e, queued, drained = home_queue_run(
+            protocol, ["_start_read", "_start_write"], "dir",
+            {2: "r", 4: "w", 3: "r"},
+        )
+        assert queued == [("write_req", 4), ("read_req", 3)]
+        assert drained == queued
+        assert e.pending is None
+
+
+@pytest.mark.parametrize("protocol,records", [
+    ("sc", "dir"), ("dc", "dir"), ("swlrc", "owners"), ("tardis", "entries"),
+])
+def test_idle_records_carry_no_queue(protocol, records):
+    """After a full cell every home record and lock holder is idle and
+    holds no queue, and the records are slotted (no instance dict).
+    At 64 B on 4 nodes, requests queue at the home in volrend-original
+    and lock successors wait at their holders in water-nsquared."""
+    for app in ("volrend-original", "water-nsquared"):
+        m = run_experiment(RunConfig(app=app, protocol=protocol, granularity=64,
+                                     nprocs=4, scale="tiny")).machine
+        entries = list(getattr(m.protocol, records).values())
+        holders = list(m.locks._holder.values())
+        assert entries and holders, app
+        for e in entries:
+            assert not e.busy and e.pending is None, app
+            assert not hasattr(e, "__dict__")
+        for st in holders:
+            assert st.waiters is None, app
+            assert not hasattr(st, "__dict__")
 
 
 class TestSWLRCInternals:
+    def test_busy_owner_entry_queues_own_requests(self, home_queue_run):
+        """Ownership requests reaching a transfer in flight queue
+        behind it, start in arrival order, and the drained queue is
+        dropped."""
+        e, queued, drained = home_queue_run(
+            "swlrc", ["_start_own"], "owners", {2: "w", 4: "w", 3: "w"},
+        )
+        assert queued == [("own_req", 4), ("own_req", 3)]
+        assert drained == queued
+        assert e.pending is None
+
     def test_hint_points_at_freshest_writer(self):
         m = make("swlrc", g=4096)
         seg = m.alloc(4096, "x")

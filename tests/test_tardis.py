@@ -51,11 +51,22 @@ class TestTardisRuns:
         assert p.entries, "run never created tardis entries"
         for block, e in p.entries.items():
             assert e.wts <= e.rts, (block, e.wts, e.rts)
-            assert not e.busy and not e.pending
+            assert not e.busy and e.pending is None
+            assert not hasattr(e, "__dict__")
         # Leases never exceed their block's rts.
         for node_leases in p.lease:
             for block, lease in node_leases.items():
                 assert lease <= p.entries[block].rts
+
+    def test_busy_entry_queues_requests(self, home_queue_run):
+        """A read and a write reaching a busy entry queue behind it,
+        start in arrival order, and the drained queue is dropped."""
+        e, queued, drained = home_queue_run(
+            "tardis", ["_start"], "entries", {2: "w", 4: "r", 3: "w"},
+        )
+        assert queued == [("t_read_req", 4), ("t_write_req", 3)]
+        assert drained == queued
+        assert e.pending is None
 
     def test_interrupt_mechanism_also_clean(self):
         result = run_experiment(
